@@ -9,7 +9,8 @@ fn main() {
     let nodes = 3;
     let threads = 6;
     let duration = bench_duration(2.0);
-    println!("system,isolation,strict,neworders_per_s,abort_rate,p99_us");
+    // `failed` counts non-retryable errors (not aborts; see RunResult).
+    println!("system,isolation,strict,neworders_per_s,abort_rate,failed,p99_us");
     let configs: Vec<(&str, EngineConfig, TxOptions, &str, &str)> = vec![
         (
             "BASELINE",
@@ -51,8 +52,8 @@ fn main() {
         let (engine, db) = tpcc_setup(nodes, engine_cfg, small_tpcc());
         let r = run_tpcc(&engine, &db, threads, duration, opts);
         println!(
-            "{name},{iso},{strict},{:.0},{:.5},{:.0}",
-            r.throughput, r.abort_rate, r.latency_p99_us
+            "{name},{iso},{strict},{:.0},{:.5},{},{:.0}",
+            r.throughput, r.abort_rate, r.failed, r.latency_p99_us
         );
         engine.shutdown();
         engine.cluster().shutdown();

@@ -30,15 +30,20 @@ pub struct RunResult {
     pub throughput: f64,
     /// Total committed transactions (all kinds).
     pub committed: u64,
-    /// Total aborted transactions.
+    /// Total aborted transactions (retryable conflicts and availability
+    /// errors).
     pub aborted: u64,
+    /// Transactions that ended in a non-retryable error (a bad address, a
+    /// workload invariant such as a missing order). Not aborts: they are
+    /// left out of `abort_rate`.
+    pub failed: u64,
     /// Median latency of the measured kind, in microseconds.
     pub latency_p50_us: f64,
     /// 99th-percentile latency of the measured kind, in microseconds.
     pub latency_p99_us: f64,
     /// Mean commit-time uncertainty wait, in microseconds.
     pub mean_write_wait_us: f64,
-    /// Abort rate in [0, 1].
+    /// Abort rate in [0, 1] over committed plus aborted transactions.
     pub abort_rate: f64,
     /// Network messages per committed transaction (all verbs; batched
     /// commit-protocol messages count once however many objects they carry).
@@ -109,6 +114,7 @@ pub fn run_tpcc(
     let stop = Arc::new(AtomicBool::new(false));
     let committed = Arc::new(AtomicU64::new(0));
     let aborted = Arc::new(AtomicU64::new(0));
+    let failed = Arc::new(AtomicU64::new(0));
     let neworders = Arc::new(AtomicU64::new(0));
     let nodes = engine.nodes().len() as u32;
     let mut handles = Vec::new();
@@ -120,6 +126,7 @@ pub fn run_tpcc(
         let stop = Arc::clone(&stop);
         let committed = Arc::clone(&committed);
         let aborted = Arc::clone(&aborted);
+        let failed = Arc::clone(&failed);
         let neworders = Arc::clone(&neworders);
         let latencies = Arc::clone(&latencies);
         handles.push(std::thread::spawn(move || {
@@ -141,7 +148,7 @@ pub fn run_tpcc(
                         aborted.fetch_add(1, Ordering::Relaxed);
                     }
                     Err(_) => {
-                        aborted.fetch_add(1, Ordering::Relaxed);
+                        failed.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
@@ -176,6 +183,7 @@ pub fn run_tpcc(
         throughput: neworders.load(Ordering::Relaxed) as f64 / duration.as_secs_f64(),
         committed: c,
         aborted: a,
+        failed: failed.load(Ordering::Relaxed),
         latency_p50_us: pct(0.5),
         latency_p99_us: pct(0.99),
         mean_write_wait_us: delta.mean_write_wait_ns() / 1_000.0,
@@ -206,6 +214,7 @@ pub fn run_ycsb(
     let keys_done = Arc::new(AtomicU64::new(0));
     let committed = Arc::new(AtomicU64::new(0));
     let aborted = Arc::new(AtomicU64::new(0));
+    let failed = Arc::new(AtomicU64::new(0));
     let nodes = engine.nodes().len() as u32;
     let mut handles = Vec::new();
     for t in 0..threads {
@@ -215,6 +224,7 @@ pub fn run_ycsb(
         let keys_done = Arc::clone(&keys_done);
         let committed = Arc::clone(&committed);
         let aborted = Arc::clone(&aborted);
+        let failed = Arc::clone(&failed);
         handles.push(std::thread::spawn(move || {
             let node = NodeId(t as u32 % nodes);
             let mut rng = StdRng::seed_from_u64(0xFACE + t as u64);
@@ -225,8 +235,11 @@ pub fn run_ycsb(
                         keys_done.fetch_add(n as u64, Ordering::Relaxed);
                         committed.fetch_add(1, Ordering::Relaxed);
                     }
-                    Err(_) => {
+                    Err(e) if e.is_retryable() => {
                         aborted.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(_) => {
+                        failed.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
@@ -249,6 +262,7 @@ pub fn run_ycsb(
         throughput: keys_done.load(Ordering::Relaxed) as f64 / duration.as_secs_f64(),
         committed: c,
         aborted: a,
+        failed: failed.load(Ordering::Relaxed),
         abort_rate: if c + a == 0 {
             0.0
         } else {

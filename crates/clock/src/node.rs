@@ -143,6 +143,8 @@ pub struct NodeClock {
     stats: ClockStats,
     /// Local time at which the clock was last disabled (for stats).
     disabled_at: AtomicU64,
+    /// The machine crashed (see [`NodeClock::retire`]).
+    retired: AtomicBool,
 }
 
 impl NodeClock {
@@ -159,6 +161,7 @@ impl NodeClock {
             last_lower: AtomicU64::new(0),
             stats: ClockStats::default(),
             disabled_at: AtomicU64::new(0),
+            retired: AtomicBool::new(false),
         }
     }
 
@@ -175,7 +178,25 @@ impl NodeClock {
             last_lower: AtomicU64::new(0),
             stats: ClockStats::default(),
             disabled_at: AtomicU64::new(0),
+            retired: AtomicBool::new(false),
         }
+    }
+
+    /// Marks the machine as crashed. A disabled clock will never be enabled
+    /// or synchronized again, so waits for it stop blocking: `wait_time`
+    /// falls back to the unchecked time and an uncertainty wait ends (any
+    /// target handed out before the disable is covered by the fast-forward
+    /// value the surviving cluster restarts at). The time a retired clock
+    /// reports is meaningless to the cluster; callers must fence the dead
+    /// machine off rather than use it.
+    pub fn retire(&self) {
+        self.retired.store(true, Ordering::Release);
+    }
+
+    /// Whether waits on this clock can never end: it is disabled and its
+    /// machine has crashed.
+    fn stranded(&self) -> bool {
+        self.retired.load(Ordering::Acquire) && !self.is_enabled()
     }
 
     /// The node's local clock.
@@ -224,8 +245,17 @@ impl NodeClock {
             }
             Role::Slave(s) => s.time(self.clock.now_ns()),
         }?;
-        // Enforce the non-decreasing lower bound guarantee.
-        let prev = self.last_lower.fetch_max(raw.lower, Ordering::AcqRel);
+        // Enforce the non-decreasing lower bound guarantee. Only an enabled
+        // clock ratchets it: during a failover the old synchronization keeps
+        // running past the fast-forward value the new master restarts at, and
+        // a bound raised then would pin this node's intervals above the new
+        // timeline — equal timestamps with no uncertainty wait — until it
+        // caught up.
+        let prev = if self.is_enabled() {
+            self.last_lower.fetch_max(raw.lower, Ordering::AcqRel)
+        } else {
+            self.last_lower.load(Ordering::Acquire)
+        };
         let lower = raw.lower.max(prev);
         Some(TimeInterval::new(lower, raw.upper.max(lower)))
     }
@@ -248,6 +278,10 @@ impl NodeClock {
         loop {
             if let Some(i) = self.time() {
                 return i;
+            }
+            if self.stranded() {
+                let ff = self.ff();
+                return self.time_unchecked().unwrap_or(TimeInterval::new(ff, ff));
             }
             spins += 1;
             if spins < 64 {
@@ -315,7 +349,7 @@ impl NodeClock {
         let mut spins = 0u32;
         loop {
             let interval = self.wait_time();
-            if interval.lower >= target {
+            if interval.lower >= target || self.stranded() {
                 return self.clock.now_ns().saturating_sub(start);
             }
             let remaining = target - interval.lower;
@@ -483,7 +517,7 @@ impl NodeClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{ManualClock, MonotonicClock};
+    use crate::clock::{Clock, ManualClock, MonotonicClock};
     use std::sync::Arc;
 
     fn cfg() -> ClockConfig {
@@ -650,6 +684,58 @@ mod tests {
         assert!(!node.is_master());
         assert!(!node.is_enabled());
         assert!(node.time().is_none());
+    }
+
+    #[test]
+    fn reads_while_disabled_do_not_pin_the_new_timeline() {
+        let base = Arc::new(ManualClock::new(0));
+        let clock: SharedClock = base.clone();
+        let node = NodeClock::new_slave(clock, cfg());
+        node.record_sync(SyncSample {
+            t_send: 0,
+            t_cm: 1_000,
+            t_recv: 10,
+        });
+        // Disabled for a failover: the old synchronization keeps running.
+        node.disable();
+        base.advance(1_000_000);
+        let stale = node.time_unchecked().unwrap().lower;
+        // The new master restarts behind that reading.
+        node.become_slave();
+        let now = base.now_ns();
+        node.record_sync(SyncSample {
+            t_send: now,
+            t_cm: 500_000,
+            t_recv: now + 10,
+        });
+        let i = node.time().unwrap();
+        assert!(i.lower < stale, "pinned at {stale}: {i:?}");
+    }
+
+    #[test]
+    fn a_retired_clock_never_strands_a_waiter() {
+        let base = Arc::new(ManualClock::new(0));
+        let clock: SharedClock = base.clone();
+        let node = Arc::new(NodeClock::new_slave(clock, cfg()));
+        node.record_sync(SyncSample {
+            t_send: 0,
+            t_cm: 1_000,
+            t_recv: 10,
+        });
+        let target = node.time().unwrap().upper + 1_000_000;
+        // Disabled for a failover, then the machine dies before re-enable.
+        node.disable();
+        let waiter = {
+            let node = Arc::clone(&node);
+            std::thread::spawn(move || {
+                node.wait_time();
+                node.wait_until_past(target);
+            })
+        };
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!waiter.is_finished(), "a disabled clock must block");
+        node.retire();
+        waiter.join().unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * **Pending installs** ([`PendingInstall`]): the held locks and plan of an
 //!   early-acked transaction, split per destination primary. Each
 //!   destination is *claimable* exactly once (an atomic flag), so the
-//!   committing engine's opportunistic drain and any number of helping
+//!   committing engine's background units and any number of helping
 //!   readers race safely: whoever claims a destination applies its installs
 //!   in ascending address order and unlocks. An address-level index lets a
 //!   reader (or locker, or validator) that hits a locked slot of a durable
@@ -24,16 +24,27 @@
 //!   backup replays its untruncated entries before serving — committed
 //!   transactions whose COMMIT-PRIMARY never landed are therefore still
 //!   recovered from the log, never lost and never observed torn.
-//! * **Truncation watermarks** ([`Backlog::deliver_truncation`]): TRUNCATE is
-//!   no longer a standalone message. Each coordinator tracks the highest
-//!   write timestamp below which *all* of its transactions have completed
-//!   their installs (a contiguity floor, so a slow transaction holds the
-//!   watermark back), and piggybacks that `truncate_below` value on its next
-//!   outgoing LOCK / VALIDATE / COMMIT-BACKUP verb to each destination. A
-//!   timed flusher covers idle connections. Watermarks are raised with
+//! * **Truncation watermarks**: TRUNCATE is no longer a standalone message.
+//!   Each coordinator tracks the highest write timestamp below which *all*
+//!   of its transactions have completed their installs (a contiguity floor,
+//!   so a slow transaction holds the watermark back), and piggybacks that
+//!   `truncate_below` value on its next outgoing LOCK / VALIDATE /
+//!   COMMIT-BACKUP verb to each destination. Watermarks are raised with
 //!   `fetch_max` and can never regress; an abort after timestamp acquisition
 //!   withdraws only its own reservation, so earlier transactions' truncates
 //!   are never lost.
+//!
+//! **Delivery and apply are separate steps.** A piggyback only *publishes*
+//! the destination's watermark ([`Backlog::piggyback_truncation`], one
+//! `fetch_max`); applying the covered log entries is a background unit
+//! ([`Backlog::apply_truncation_unit`]) that the coordinator runs inside its
+//! wait windows, like the installs (see [`NodeEngine::background_until`]).
+//! Whatever the windows leave is applied by the backstops: `begin` after
+//! its wait, the background thread, the idle flush
+//! ([`Backlog::flush_idle`], which publishes with one standalone message and
+//! applies), `quiesce`, `shutdown` and dead-coordinator recovery. An entry
+//! published but not yet applied is still in the redo log, so promotion
+//! replay and re-replication catch-up still find it.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -98,6 +109,9 @@ pub(crate) struct PendingInstall {
     locked: Vec<HeldLock>,
     dests: Vec<DestInstall>,
     remaining: AtomicUsize,
+    /// Next destination a background unit takes; advanced under the owning
+    /// engine's queue lock (helpers claim out of order via the flags).
+    cursor: AtomicUsize,
 }
 
 impl PendingInstall {
@@ -133,6 +147,7 @@ impl PendingInstall {
             locked,
             dests,
             remaining,
+            cursor: AtomicUsize::new(0),
         }
     }
 
@@ -149,6 +164,13 @@ impl PendingInstall {
     /// Number of destination primaries still referenced by this install.
     pub(crate) fn dest_count(&self) -> usize {
         self.dests.len()
+    }
+
+    /// Hands out the next destination index for a background unit. Called
+    /// under the owning engine's queue lock; the caller dequeues the install
+    /// once the last index has been handed out.
+    pub(crate) fn next_dest(&self) -> usize {
+        self.cursor.fetch_add(1, Ordering::Relaxed)
     }
 
     fn addr_of(&self, li: usize) -> Addr {
@@ -209,6 +231,9 @@ struct TruncState {
     watermark: AtomicU64,
     /// Per-destination watermark already delivered (piggybacked or flushed).
     delivered: Vec<AtomicU64>,
+    /// Per-destination watermark whose covered log entries have been
+    /// applied; trails `delivered` until a background unit catches it up.
+    applied: Vec<AtomicU64>,
     /// When the watermark last advanced; drives the idle flusher.
     last_advance: Mutex<Option<Instant>>,
 }
@@ -249,6 +274,7 @@ impl Backlog {
                     ceiling: AtomicU64::new(0),
                     watermark: AtomicU64::new(0),
                     delivered: (0..n).map(|_| AtomicU64::new(0)).collect(),
+                    applied: (0..n).map(|_| AtomicU64::new(0)).collect(),
                     last_advance: Mutex::new(None),
                 })
                 .collect(),
@@ -301,11 +327,33 @@ impl Backlog {
     // Backup redo logs
     // ------------------------------------------------------------------
 
-    /// Materializes one COMMIT-BACKUP record at destination `dest` (called
-    /// when the replication phase completes — the point at which a real
-    /// backup has the record in its log).
-    pub(crate) fn deposit(&self, dest: NodeId, entry: LogEntry) {
-        self.logs[dest.index()].lock().push_back(entry);
+    /// Materializes one transaction's COMMIT-BACKUP records at their backup
+    /// destinations (called when the replication phase completes — the
+    /// point at which a real backup has the record in its log), all or
+    /// none. `moved` runs while every destination's log is locked and names
+    /// a region whose primary is no longer the one the transaction locked
+    /// at; then nothing is deposited and that region is returned. A
+    /// promotion moves the primary before it replays the new primary's log
+    /// under that same lock, so records deposited here are either replayed
+    /// by every later promotion or refused because one already happened:
+    /// a record never reaches a promoted backup after its replay.
+    pub(crate) fn deposit(
+        &self,
+        mut entries: Vec<(NodeId, LogEntry)>,
+        moved: impl FnOnce() -> Option<RegionId>,
+    ) -> Result<(), RegionId> {
+        entries.sort_by_key(|(dest, _)| dest.index());
+        let mut logs: Vec<_> = entries
+            .iter()
+            .map(|(dest, _)| self.logs[dest.index()].lock())
+            .collect();
+        if let Some(region) = moved() {
+            return Err(region);
+        }
+        for (log, (_, entry)) in logs.iter_mut().zip(entries) {
+            log.push_back(entry);
+        }
+        Ok(())
     }
 
     /// Number of untruncated log entries held at `dest` (tests/reporting).
@@ -461,28 +509,76 @@ impl Backlog {
         self.trunc[coordinator.index()].delivered[dest.index()].load(Ordering::Acquire)
     }
 
-    /// Delivers the coordinator's current watermark to `dest`, applying (and
-    /// discarding) the covered backup-log entries. `standalone` marks an
-    /// idle flush, which costs one real (metered) message; a piggybacked
-    /// delivery rides a verb the commit protocol was sending anyway and
-    /// costs none.
-    pub(crate) fn deliver_truncation(&self, engine: &NodeEngine, dest: NodeId, standalone: bool) {
-        let coordinator = engine.id();
+    /// Publishes the coordinator's current watermark to `dest`: one
+    /// `fetch_max`. Returns whether the delivered watermark advanced.
+    fn publish(&self, coordinator: NodeId, dest: NodeId) -> bool {
         let st = &self.trunc[coordinator.index()];
         let w = st.watermark.load(Ordering::Acquire);
-        let prev = st.delivered[dest.index()].fetch_max(w, Ordering::AcqRel);
-        if prev >= w {
-            return;
+        st.delivered[dest.index()].fetch_max(w, Ordering::AcqRel) < w
+    }
+
+    /// Piggybacks the coordinator's watermark on a verb the commit protocol
+    /// is sending to `dest` anyway: publish only, no message and no apply.
+    /// The covered entries stay in `dest`'s log until a background unit or
+    /// a backstop applies them.
+    pub(crate) fn piggyback_truncation(&self, engine: &NodeEngine, dest: NodeId) {
+        if self.publish(engine.id(), dest) {
+            EngineStats::bump(&engine.stats.truncations_piggybacked);
         }
-        self.truncate_log(coordinator, dest, w);
-        if standalone {
-            // A real TRUNCATE message: the idle-connection fallback.
+    }
+
+    /// Delivers the coordinator's watermark to `dest` as a standalone
+    /// TRUNCATE (one metered message when it advances) and applies every
+    /// published-but-unapplied entry there: the idle-flush and settle path.
+    pub(crate) fn flush_truncation(&self, engine: &NodeEngine, dest: NodeId) {
+        if self.publish(engine.id(), dest) {
             engine.meter.rpc_batch_deferred(1, 16);
             EngineStats::bump(&engine.stats.truncate_flushes);
             EngineStats::bump(&engine.stats.truncate_batches);
-        } else {
-            EngineStats::bump(&engine.stats.truncations_piggybacked);
         }
+        self.apply_truncation(engine.id(), dest);
+    }
+
+    /// Applies (and discards) the coordinator's log entries at `dest`
+    /// covered by the watermark published there. Returns whether there was
+    /// anything to apply. The applied mark is raised only after the log is
+    /// truncated, so a caller that sees it caught up also sees the log
+    /// empty of covered entries; two racing appliers are serialized by the
+    /// log lock and the second finds nothing.
+    fn apply_truncation(&self, coordinator: NodeId, dest: NodeId) -> bool {
+        let st = &self.trunc[coordinator.index()];
+        let published = st.delivered[dest.index()].load(Ordering::Acquire);
+        if st.applied[dest.index()].load(Ordering::Acquire) >= published {
+            return false;
+        }
+        self.truncate_log(coordinator, dest, published);
+        st.applied[dest.index()].fetch_max(published, Ordering::AcqRel);
+        true
+    }
+
+    /// One background unit of truncation: applies the covered entries of the
+    /// first destination whose published watermark is ahead of its applied
+    /// one. Returns whether a unit ran.
+    pub(crate) fn apply_truncation_unit(&self, coordinator: NodeId) -> bool {
+        (0..self.nodes.len()).any(|d| self.apply_truncation(coordinator, NodeId(d as u32)))
+    }
+
+    /// Applies every published-but-unapplied truncation of `coordinator`.
+    /// Returns how many destinations had work.
+    pub(crate) fn apply_truncations(&self, coordinator: NodeId) -> usize {
+        (0..self.nodes.len())
+            .filter(|&d| self.apply_truncation(coordinator, NodeId(d as u32)))
+            .count()
+    }
+
+    /// Whether `coordinator` has a published watermark whose entries are not
+    /// applied yet (the background step's cheap emptiness check).
+    pub(crate) fn has_unapplied(&self, coordinator: NodeId) -> bool {
+        let st = &self.trunc[coordinator.index()];
+        st.delivered
+            .iter()
+            .zip(&st.applied)
+            .any(|(d, a)| a.load(Ordering::Acquire) < d.load(Ordering::Acquire))
     }
 
     /// Sends standalone flushes for every destination still behind a
@@ -502,7 +598,7 @@ impl Backlog {
         let w = st.watermark.load(Ordering::Acquire);
         for dest in 0..st.delivered.len() {
             if st.delivered[dest].load(Ordering::Acquire) < w {
-                self.deliver_truncation(engine, NodeId(dest as u32), true);
+                self.flush_truncation(engine, NodeId(dest as u32));
             }
         }
     }

@@ -16,17 +16,26 @@
 //!    fire-and-forget) but not waited for.
 //! 2. **Background install** — the held locks, plan and write timestamp move
 //!    into a [`PendingInstall`](super::backlog::PendingInstall) on the
-//!    engine's backlog, drained opportunistically (at the next `begin`, in
-//!    pipeline dead time, by the background thread). A reader — or a locker,
-//!    or a validator — that hits a still-locked slot of a durable
-//!    transaction **helps complete that destination's install** instead of
-//!    backing off or aborting.
+//!    engine's backlog. A reader — or a locker, or a validator — that hits a
+//!    still-locked slot of a durable transaction **helps complete that
+//!    destination's install** instead of backing off or aborting.
 //! 3. **Lazy truncation** — TRUNCATE is no longer a standalone message: once
 //!    all of a coordinator's transactions at or below some write timestamp
 //!    have installed, that `truncate_below` watermark piggybacks on the next
 //!    outgoing LOCK / VALIDATE / COMMIT-BACKUP verb to each destination
-//!    (with a timed flush for idle connections), and delivery *applies* the
-//!    backup's redo-log records to its replica.
+//!    (with a timed flush for idle connections). The piggyback only
+//!    *publishes* the watermark; applying the backup's covered redo-log
+//!    records to its replica is left to background units.
+//!
+//! Stages 2 and 3 run as **background units** — one destination of a
+//! pending install, or one destination's covered log entries — inside the
+//! coordinator's wait windows
+//! ([`NodeEngine::background_until`](crate::NodeEngine)): a strict `begin`'s
+//! read-timestamp uncertainty wait, each verb flight of [`CommitDriver::run`],
+//! a pipeline's dead time. Whatever the windows leave is finished by the
+//! backstops: `begin` right after its wait (up front for begins that do not
+//! wait), the background thread, the idle flush, `quiesce`, `shutdown` and
+//! dead-coordinator recovery.
 //!
 //! Under [`DispatchMode::Serial`] (the A/B baseline), in baseline mode, and
 //! in operation-logging mode the driver keeps the fully synchronous phase
@@ -82,7 +91,7 @@ use farm_memory::{Addr, LockOutcome, ObjectSlot, OldAddr, OldVersion};
 use farm_net::{Completion, CompletionSet, DispatchMode, NodeId, PhaseLabel, Verb};
 
 use crate::active::ActiveToken;
-use crate::engine::{NodeEngine, OpLogRecord};
+use crate::engine::{BackgroundSite, NodeEngine, OpLogRecord};
 use crate::error::{AbortReason, TxError};
 use crate::opts::{EngineMode, IsolationLevel, MvPolicy, TxOptions};
 use crate::stats::EngineStats;
@@ -309,7 +318,13 @@ impl CommitDriver {
         let model = self.engine.meter.latency_model();
         loop {
             match self.advance() {
-                DriverStep::Wait(deadline) => model.wait_until(deadline),
+                DriverStep::Wait(deadline) => {
+                    // The verbs are on the wire: spend the flight on the
+                    // engine's background units before waiting out the rest.
+                    self.engine
+                        .background_until(deadline, BackgroundSite::Flight);
+                    model.wait_until(deadline);
+                }
                 DriverStep::Finished(result) => return result,
             }
         }
@@ -463,11 +478,11 @@ impl CommitDriver {
                     self.record_write_wait(waited, true);
                 }
                 if self.early_ack {
-                    // The transaction is durable: every COMMIT-BACKUP is
-                    // acked. Post COMMIT-PRIMARY, hand the installs to the
-                    // backlog, and report success — stages 2 and 3 run in
-                    // the background.
-                    self.early_ack_finish()
+                    // Every COMMIT-BACKUP is acked: the transaction is
+                    // durable once its records are in the backup logs. Post
+                    // COMMIT-PRIMARY, hand the installs to the backlog, and
+                    // report success — stages 2 and 3 run in the background.
+                    self.early_ack_finish()?
                 } else {
                     Step::Next(if !self.baseline && self.si && !self.ts_acquired {
                         // Serial SI keeps the PR-1 order: acquire after the
@@ -499,11 +514,13 @@ impl CommitDriver {
     }
 
     /// Piggybacks the coordinator's truncation watermark on an outgoing verb
-    /// to `dest` (stage 3 of the lifecycle: zero standalone messages).
+    /// to `dest` (stage 3 of the lifecycle: zero standalone messages). This
+    /// only publishes the watermark; the covered redo-log entries are
+    /// applied by a later background unit.
     fn piggyback(&self, dest: NodeId) {
         self.engine
             .backlog()
-            .deliver_truncation(&self.engine, dest, false);
+            .piggyback_truncation(&self.engine, dest);
     }
 
     // ------------------------------------------------------------------
@@ -821,7 +838,13 @@ impl CommitDriver {
     /// initialize this transaction's allocations eagerly (they carry no lock,
     /// so helpers could not finish them), and hand the held locks to the
     /// backlog as a [`PendingInstall`].
-    fn early_ack_finish(&mut self) -> Step {
+    ///
+    /// A region whose primary moved since LOCK (a backup was promoted while
+    /// the commit was in flight) fences the commit off: the promoted backup
+    /// already replayed its log without these records and serves the object
+    /// unlocked, so depositing now would expose the write there only at some
+    /// later truncation. The commit aborts retryably instead.
+    fn early_ack_finish(&mut self) -> Result<Step, TxError> {
         let engine = Arc::clone(&self.engine);
         let write_ts = self.write_ts;
         let multi_version = engine.config().mode.is_multi_version();
@@ -859,15 +882,30 @@ impl CommitDriver {
                 }
             }
         }
-        for (backup, intents) in per_backup {
-            engine.backlog().deposit(
-                backup,
-                LogEntry {
+        let entries = per_backup
+            .into_iter()
+            .map(|(backup, intents)| {
+                let entry = LogEntry {
                     coordinator: engine.id(),
                     write_ts,
                     intents,
-                },
-            );
+                };
+                (backup, entry)
+            })
+            .collect();
+        let cluster = engine.cluster();
+        let plan = &self.plan;
+        let moved = || {
+            if cluster.placement_version() == plan.placement_version {
+                return None;
+            }
+            plan.groups
+                .iter()
+                .find(|g| cluster.primary_of(g.region) != Some(g.primary))
+                .map(|g| g.region)
+        };
+        if let Err(region) = engine.backlog().deposit(entries, moved) {
+            return Err(self.abort(AbortReason::Reconfiguring(region)));
         }
         // COMMIT-PRIMARY is posted now (the messages are on the wire, hence
         // metered) but never awaited: their destination-side processing is
@@ -899,6 +937,7 @@ impl CommitDriver {
             CommitPlan {
                 groups: Vec::new(),
                 cancelled_allocs: Vec::new(),
+                placement_version: 0,
             },
         );
         let locked = std::mem::take(&mut self.locked);
@@ -911,7 +950,7 @@ impl CommitDriver {
             plan,
             locked,
         ));
-        Step::Finish(Some(write_ts))
+        Ok(Step::Finish(Some(write_ts)))
     }
 
     // ------------------------------------------------------------------

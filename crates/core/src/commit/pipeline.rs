@@ -22,13 +22,14 @@
 //! targets the latest deadline inside the window, so one wakeup advances
 //! every flight in the batch. No verb ever completes early — the sleep
 //! target is itself a deadline, and all batched deadlines are at or before
-//! it. Dead time (every in-flight commit waiting on the wire) is spent
-//! draining the engine's pending-install backlog, exactly where a real
-//! worker would process its completion-queue backlog.
+//! it. Dead time (every in-flight commit waiting on the wire) is spent on
+//! the engine's background units (installs, truncation applies) up to the
+//! earliest deadline, exactly where a real worker would process its
+//! completion-queue backlog.
 //!
 //! The reactor keeps per-flight cycle accounting ([`PipelineTimings`]):
 //! wall-clock splits into *issue* (advancing drivers — the serial CPU),
-//! *wait* (deadline sleeps), and *drain* (backlog installs), which is what
+//! *wait* (deadline sleeps), and *drain* (background units), which is what
 //! the Amdahl analysis in `bench_commit_pipeline` uses to measure the
 //! serial fraction and predict multi-core speedup. For the multi-worker
 //! version with work-stealing, see [`PipelinePool`](super::PipelinePool).
@@ -41,7 +42,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::engine::NodeEngine;
+use crate::engine::{BackgroundSite, NodeEngine};
 use crate::error::TxError;
 use crate::tx::{CommitInfo, PreparedCommit, Transaction};
 
@@ -86,8 +87,9 @@ impl Ord for Waiting {
 ///
 /// Wall-clock decomposes as `issue + wait + drain + steal` plus untracked
 /// scheduler epsilon. `issue` is the serial protocol CPU (building records,
-/// lock tables, indexes); `wait` is deadline flight time; `drain` is backlog
-/// install work done in dead time; `steal` is time spent advancing flights
+/// lock tables, indexes); `wait` is deadline flight time; `drain` is
+/// background units (installs, truncation applies) run in dead time; `steal`
+/// is time spent advancing flights
 /// stolen from another worker's deck (always zero for a single pipeline).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PipelineTimings {
@@ -95,7 +97,7 @@ pub struct PipelineTimings {
     pub issue_ns: u64,
     /// Nanoseconds spent sleeping/spinning to completion deadlines.
     pub wait_ns: u64,
-    /// Nanoseconds spent draining the pending-install backlog in dead time.
+    /// Nanoseconds spent on background units in dead time.
     pub drain_ns: u64,
     /// Nanoseconds spent advancing flights stolen from other workers.
     pub steal_ns: u64,
@@ -279,8 +281,16 @@ impl CommitPipeline {
             if self.step_ready(now) {
                 continue;
             }
-            // Every flight is on the wire: background work first.
-            if self.engine.drain_pending_installs() > 0 {
+            let Some(earliest) = self.waiting.peek().map(|w| w.wake) else {
+                continue;
+            };
+            // Every flight is on the wire: background units until the
+            // earliest deadline.
+            if self
+                .engine
+                .background_until(earliest, BackgroundSite::Flight)
+                > 0
+            {
                 self.timings.drain_ns += now.elapsed().as_nanos() as u64;
                 continue;
             }
@@ -288,9 +298,6 @@ impl CommitPipeline {
             // quantum of the earliest, so one wakeup advances the batch.
             // Everything batched is at or before the sleep target, so no
             // verb completes early.
-            let Some(earliest) = self.waiting.peek().map(|w| w.wake) else {
-                continue;
-            };
             let horizon = earliest + self.wake_quantum;
             let mut batch_end = earliest;
             for w in self.waiting.iter() {

@@ -111,6 +111,10 @@ pub struct CommitPlan {
     /// become visible, so they carry no intents — their pre-allocated slots
     /// are simply returned at install (or by the abort unwind).
     pub cancelled_allocs: Vec<Addr>,
+    /// [`farm_kernel::Cluster::placement_version`] read before any group's
+    /// primary was resolved: while it reads the same, every `primary` here
+    /// is still current.
+    pub placement_version: u64,
 }
 
 impl CommitPlan {
@@ -126,6 +130,7 @@ impl CommitPlan {
         alloc_set: &[Addr],
         read_set: &HashMap<Addr, u64>,
     ) -> Result<CommitPlan, AbortReason> {
+        let placement_version = engine.cluster().placement_version();
         let mut intents: Vec<WriteIntent> = Vec::with_capacity(write_set.len() + free_set.len());
         let mut frees: Vec<Addr> = free_set.to_vec();
         frees.sort();
@@ -210,6 +215,7 @@ impl CommitPlan {
         Ok(CommitPlan {
             groups,
             cancelled_allocs,
+            placement_version,
         })
     }
 

@@ -18,8 +18,8 @@
 //! * **Work stealing.** A worker with nothing ready steals two kinds of
 //!   work before parking: an **expired flight** from another worker's deck
 //!   (its owner is stuck in a deadline sleep — e.g. a long uncertainty
-//!   wait — or busy issuing), and **pending-install backlog** chunks via
-//!   [`NodeEngine::drain_pending_installs_up_to`]. Stealing a
+//!   wait — or busy issuing), and the engine's **background units**
+//!   (installs, truncation applies) up to its own next deadline. Stealing a
 //!   `Box<CommitDriver>` across threads is sound because drivers are
 //!   resumable state machines with no thread affinity: every phase is an
 //!   issue/finish pair against engine-shared state, and the box moves
@@ -40,7 +40,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::engine::NodeEngine;
+use crate::engine::{BackgroundSite, NodeEngine};
 use crate::error::TxError;
 use crate::stats::EngineStats;
 use crate::tx::{CommitInfo, PreparedCommit, Transaction};
@@ -48,10 +48,10 @@ use crate::tx::{CommitInfo, PreparedCommit, Transaction};
 use super::driver::{CommitDriver, DriverStep};
 use super::pipeline::{PipelineTimings, Waiting};
 
-/// How many queued commits one idle worker claims from the install backlog
-/// per steal: bounded so a deep backlog cannot make it miss the next flight
-/// deadline.
-const STEAL_DRAIN_CHUNK: usize = 8;
+/// How long a worker with no parked flights spends on background units
+/// before re-checking the submit ring; a worker with flights stops at its
+/// deck's next deadline instead.
+const IDLE_BACKGROUND: Duration = Duration::from_micros(20);
 
 /// How long an idle worker (no flights, empty ring) parks before re-scanning
 /// other decks for stealable work.
@@ -322,7 +322,7 @@ pub struct PoolStats {
     pub workers: usize,
     /// Expired flights advanced by a non-owner worker.
     pub steals: u64,
-    /// Bounded install-backlog chunks drained by idle workers.
+    /// Times an idle worker ran background units in its dead time.
     pub steal_drains: u64,
     /// Commits completed through the pool.
     pub completed: u64,
@@ -481,7 +481,7 @@ impl std::fmt::Debug for PipelinePool {
 }
 
 /// The worker body: refill from the ring, advance ready + expired flights,
-/// then (in order) steal an expired flight, steal a backlog chunk, park.
+/// then (in order) steal an expired flight, run background units, park.
 fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
     let engine = &shared.engine;
     let model = engine.meter.latency_model();
@@ -554,9 +554,12 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
             continue;
         }
 
-        // Steal a bounded chunk of the engine's install backlog.
+        // Background units until the deck's next (coalesced) deadline, or
+        // for a bounded slice when nothing is parked.
+        let batch_end = deck.coalesced_target(quantum);
         let start = Instant::now();
-        if engine.drain_pending_installs_up_to(STEAL_DRAIN_CHUNK) > 0 {
+        let until = batch_end.unwrap_or(start + IDLE_BACKGROUND);
+        if engine.background_until(until, BackgroundSite::Flight) > 0 {
             shared.steal_drains.fetch_add(1, Ordering::Relaxed);
             EngineStats::bump(&engine.stats.pipeline_steal_drains);
             shared
@@ -569,9 +572,8 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
         // reactor's batching rule); thieves may service expired flights
         // while we oversleep. Without: wait for ring work or exit.
         if deck.len() > 0 {
-            if let Some(batch_end) = deck.coalesced_target(quantum) {
+            if let Some(batch_end) = batch_end {
                 shared.timings.wakeups.fetch_add(1, Ordering::Relaxed);
-                let start = Instant::now();
                 model.wait_until(batch_end);
                 shared
                     .timings

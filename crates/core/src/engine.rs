@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use farm_kernel::{Cluster, ConfigRecord, EventKind, EventLog, NodeHandle, RecoveryHooks};
 use farm_memory::{Addr, Region, RegionId};
@@ -56,6 +56,19 @@ impl Default for RetryPolicy {
     }
 }
 
+/// Where a background unit ran, for the [`EngineStats`] that show how much
+/// stage 2/3 work the coordinator's waits hid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BackgroundSite {
+    /// Inside a strict `begin`'s read-timestamp uncertainty wait.
+    ReadWait,
+    /// Inside commit verb flights (a synchronous commit's phase waits, a
+    /// pipeline's dead time).
+    Flight,
+    /// At the `begin` backstop.
+    Backstop,
+}
+
 /// The per-machine transaction engine. Application threads whose home is this
 /// machine obtain transactions here; the thread then acts as the coordinator
 /// for the distributed commit, exactly as in FaRM's symmetric model.
@@ -83,9 +96,9 @@ pub struct NodeEngine {
     /// Cluster-shared commit-completion backlog (pending installs, backup
     /// redo logs, truncation watermarks). See [`crate::commit::backlog`].
     backlog: Arc<Backlog>,
-    /// This engine's committed-but-not-installed transactions, drained
-    /// opportunistically (at `begin`, in pipeline dead time, by the
-    /// background thread) and raced by helping readers.
+    /// This engine's committed-but-not-installed transactions, installed one
+    /// destination at a time by background units (see
+    /// [`NodeEngine::background_until`]) and raced by helping readers.
     installs: Mutex<VecDeque<Arc<PendingInstall>>>,
     /// O(1) emptiness check for the hot path.
     installs_len: AtomicUsize,
@@ -185,13 +198,22 @@ impl NodeEngine {
         self.begin_with(TxOptions::default())
     }
 
-    /// Starts a transaction with explicit options. Pending COMMIT-PRIMARY
-    /// installs of this engine's earlier early-acked commits are drained
-    /// first (off the commit critical path — this is the opportunistic
-    /// stage-2 completion point of the lifecycle).
+    /// Starts a transaction with explicit options. Background work this
+    /// engine's earlier early-acked commits left (COMMIT-PRIMARY installs,
+    /// published truncations) is finished here, off the commit critical
+    /// path: a strict FaRMv2 `begin` runs it inside its read timestamp's
+    /// uncertainty wait and applies whatever the wait left right after it;
+    /// begins that do not wait (non-strict, baseline) drain it up front.
     pub fn begin_with(self: &Arc<Self>, opts: TxOptions) -> Transaction {
-        self.drain_pending_installs();
-        Transaction::start(Arc::clone(self), opts)
+        let waits = opts.strict && !self.config.mode.is_baseline();
+        if !waits {
+            self.background_backstop();
+        }
+        let tx = Transaction::start(Arc::clone(self), opts);
+        if waits {
+            self.background_backstop();
+        }
+        tx
     }
 
     /// Runs `body` in a transaction, transparently retrying retryable aborts
@@ -280,28 +302,17 @@ impl NodeEngine {
     /// Returns the number of destination installs this call performed. An
     /// empty backlog costs one atomic load.
     pub fn drain_pending_installs(&self) -> usize {
-        self.drain_pending_installs_up_to(usize::MAX)
-    }
-
-    /// Like [`NodeEngine::drain_pending_installs`], but claims at most
-    /// `limit` queued commits per call. Pipeline-pool workers drain in
-    /// bounded chunks so a deep backlog cannot make them miss the next
-    /// flight deadline; a single pipeline's dead time uses the full drain.
-    pub fn drain_pending_installs_up_to(&self, limit: usize) -> usize {
-        if limit == 0 || self.installs_len.load(Ordering::Acquire) == 0 {
+        if self.installs_len.load(Ordering::Acquire) == 0 {
             return 0;
         }
-        let mut done = 0;
-        // Take the claimed chunk under one lock; the installs themselves run
-        // outside it so concurrent enqueuers never wait on install work.
+        // Take the queue under one lock; the installs themselves run outside
+        // it so concurrent enqueuers never wait on install work.
         let drained: Vec<Arc<PendingInstall>> = {
             let mut queue = self.installs.lock();
-            let take = queue.len().min(limit);
-            let drained: Vec<Arc<PendingInstall>> = queue.drain(..take).collect();
-            self.installs_len
-                .fetch_sub(drained.len(), Ordering::Release);
-            drained
+            self.installs_len.fetch_sub(queue.len(), Ordering::Release);
+            queue.drain(..).collect()
         };
+        let mut done = 0;
         for install in drained {
             for di in 0..install.dest_count() {
                 if install.install_dest(self, &self.backlog, di) {
@@ -310,6 +321,103 @@ impl NodeEngine {
             }
         }
         done
+    }
+
+    /// Finishes all background work this engine owns: every pending install
+    /// and every published-but-unapplied truncation. Returns the units run.
+    pub(crate) fn drain_background(&self) -> usize {
+        self.drain_pending_installs() + self.backlog.apply_truncations(self.id)
+    }
+
+    /// Whether this engine has background work: a queued install or a
+    /// published truncation not yet applied.
+    pub(crate) fn has_background(&self) -> bool {
+        self.installs_len.load(Ordering::Acquire) > 0 || self.backlog.has_unapplied(self.id)
+    }
+
+    /// Runs one background unit — one destination of the oldest pending
+    /// install, else one destination's covered redo-log entries. Returns
+    /// whether a unit ran.
+    fn background_unit(&self) -> bool {
+        self.install_unit() || self.backlog.apply_truncation_unit(self.id)
+    }
+
+    /// One install unit: the next destination of the oldest queued install.
+    /// A destination a helper already claimed is skipped, not counted.
+    fn install_unit(&self) -> bool {
+        while self.installs_len.load(Ordering::Acquire) > 0 {
+            let (install, di) = {
+                let mut queue = self.installs.lock();
+                let Some(front) = queue.front() else {
+                    return false;
+                };
+                let di = front.next_dest();
+                if di + 1 >= front.dest_count() {
+                    self.installs_len.fetch_sub(1, Ordering::Release);
+                    (queue.pop_front().expect("peeked"), di)
+                } else {
+                    (Arc::clone(front), di)
+                }
+            };
+            if install.install_dest(self, &self.backlog, di) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The background step: runs background units one at a time until
+    /// `until` passes or none is left, and counts them against `site`.
+    /// Called wherever the coordinator thread would otherwise only wait —
+    /// a strict `begin`'s uncertainty wait, a commit's verb flights, a
+    /// pipeline's dead time — so stage 2 and 3 work hides inside the wait
+    /// instead of adding to it. Runs nothing when `until` has already
+    /// passed. Returns the units run.
+    pub(crate) fn background_until(&self, until: Instant, site: BackgroundSite) -> usize {
+        if !self.has_background() {
+            return 0;
+        }
+        let started = Instant::now();
+        let mut units = 0;
+        let mut now = started;
+        while now < until && self.background_unit() {
+            units += 1;
+            now = Instant::now();
+        }
+        self.count_background(site, units, now.duration_since(started));
+        units
+    }
+
+    /// The `begin` backstop: finishes whatever background work is left.
+    fn background_backstop(&self) {
+        if !self.has_background() {
+            return;
+        }
+        let started = Instant::now();
+        let units = self.drain_background();
+        self.count_background(BackgroundSite::Backstop, units, started.elapsed());
+    }
+
+    fn count_background(&self, site: BackgroundSite, units: usize, took: Duration) {
+        if units == 0 {
+            return;
+        }
+        let (units_counter, ns_counter) = match site {
+            BackgroundSite::ReadWait => (
+                &self.stats.background_read_wait_units,
+                &self.stats.background_read_wait_ns,
+            ),
+            BackgroundSite::Flight => (
+                &self.stats.background_flight_units,
+                &self.stats.background_flight_ns,
+            ),
+            BackgroundSite::Backstop => (
+                &self.stats.background_backstop_units,
+                &self.stats.background_backstop_ns,
+            ),
+        };
+        EngineStats::add(units_counter, units as u64);
+        EngineStats::add(ns_counter, took.as_nanos() as u64);
     }
 
     /// Number of commits whose installs are still queued at this engine.
@@ -322,8 +430,8 @@ impl NodeEngine {
     /// durability (all COMMIT-BACKUP acks) before the coordinator early-acked
     /// it, so survivors roll it forward from the replicated redo state —
     /// installs run (skipping dead destinations), locks release, and the
-    /// coordinator's truncation watermark is force-delivered to every node so
-    /// backup redo logs holding its records can truncate. Transactions that
+    /// coordinator's truncation watermark is force-delivered (and applied) at
+    /// every node so backup redo logs holding its records truncate. Transactions that
     /// had *not* reached durability never enqueued anything: their drivers
     /// unwind with [`AbortReason::CoordinatorDead`], releasing any locks they
     /// took. Between the two, a dead coordinator leaks no lock.
@@ -337,7 +445,7 @@ impl NodeEngine {
             EngineStats::add(&self.stats.orphans_rolled_forward, orphans as u64);
         }
         for dest in self.cluster.nodes() {
-            self.backlog.deliver_truncation(self, dest.id(), true);
+            self.backlog.flush_truncation(self, dest.id());
         }
         orphans
     }
@@ -578,9 +686,9 @@ impl Engine {
             stop: Arc::new(AtomicBool::new(false)),
             gc_thread: Mutex::new(None),
         });
-        // Background GC driver; also drains straggler installs and flushes
-        // truncation watermarks that sat idle (no outgoing verb to piggyback
-        // on).
+        // Background GC driver; also finishes straggler installs and
+        // truncation applies, and flushes truncation watermarks that sat idle
+        // (no outgoing verb to piggyback on).
         let stop = Arc::clone(&engine.stop);
         let nodes_for_gc: Vec<Arc<NodeEngine>> = engine.nodes.clone();
         let interval = config.gc_interval;
@@ -609,7 +717,7 @@ impl Engine {
                         // commits to completion (the replicated state needed
                         // is cluster-shared), so locks never wait on an
                         // explicit reconfiguration to release.
-                        node.drain_pending_installs();
+                        node.drain_background();
                         node.backlog.flush_idle(node, idle);
                         if node.is_alive() {
                             collect_node_garbage(node.handle());
@@ -674,9 +782,9 @@ impl Engine {
 
     /// Settles the commit-completion backlog cluster-wide: every pending
     /// COMMIT-PRIMARY install is applied and every truncation watermark is
-    /// force-delivered to every destination (each undelivered watermark
-    /// costs one standalone flush message, exactly as the idle flusher would
-    /// pay). After this, all committed state is installed at primaries and
+    /// force-delivered to every destination and applied there (each
+    /// undelivered watermark costs one standalone flush message, exactly as
+    /// the idle flusher would pay). After this, all committed state is installed at primaries and
     /// mirrored at backups — the quiescent point benchmarks and tests settle
     /// to before inspecting replicas.
     pub fn quiesce(&self) {
@@ -689,7 +797,7 @@ impl Engine {
         }
         for node in &self.nodes {
             for dest in self.cluster.nodes() {
-                node.backlog.deliver_truncation(node, dest.id(), true);
+                node.backlog.flush_truncation(node, dest.id());
             }
         }
     }
@@ -736,6 +844,42 @@ mod tests {
         let stats = engine.aggregate_stats();
         assert_eq!(stats.commits(), 0);
         assert!(engine.node(NodeId(1)).home_region().is_some());
+        engine.shutdown();
+    }
+
+    #[test]
+    fn background_step_runs_nothing_once_its_wait_has_ended() {
+        let config = EngineConfig {
+            gc_interval: Duration::from_secs(3600),
+            ..EngineConfig::default()
+        };
+        let engine = Engine::start_cluster(ClusterConfig::test(3), config);
+        let node = engine.node(NodeId(0));
+        let region = engine
+            .cluster()
+            .regions()
+            .into_iter()
+            .find(|&r| engine.cluster().primary_of(r) != Some(NodeId(0)))
+            .unwrap();
+        let mut tx = node.begin();
+        let addr = tx.alloc_in(region, vec![0u8; 8]).unwrap();
+        tx.commit().unwrap();
+        let mut tx = node.begin();
+        tx.write(addr, vec![1u8; 8]).unwrap();
+        tx.commit().unwrap();
+        assert_eq!(node.pending_installs(), 1);
+
+        let ended = Instant::now();
+        assert_eq!(node.background_until(ended, BackgroundSite::Flight), 0);
+        assert_eq!(node.pending_installs(), 1, "no unit ran");
+        assert_eq!(node.stats().background_flight_units, 0);
+
+        let open = Instant::now() + Duration::from_secs(1);
+        assert!(node.background_until(open, BackgroundSite::Flight) >= 1);
+        assert_eq!(node.pending_installs(), 0);
+        let stats = node.stats();
+        assert!(stats.background_flight_units >= 1);
+        assert!(stats.background_flight_ns > 0);
         engine.shutdown();
     }
 

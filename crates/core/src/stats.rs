@@ -3,234 +3,174 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Lock-free per-node counters. Benchmarks snapshot and diff them.
-#[derive(Debug, Default)]
-pub struct EngineStats {
+/// Declares every counter once: the atomic [`EngineStats`], its plain
+/// [`EngineStatsSnapshot`], and the snapshot/delta/merge that walk them.
+macro_rules! engine_stats {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Lock-free per-node counters. Benchmarks snapshot and diff them.
+        #[derive(Debug, Default)]
+        pub struct EngineStats {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// Point-in-time copy of [`EngineStats`].
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct EngineStatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl EngineStats {
+            /// Takes a snapshot of all counters.
+            pub fn snapshot(&self) -> EngineStatsSnapshot {
+                EngineStatsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        impl EngineStatsSnapshot {
+            /// Element-wise difference `self - earlier`.
+            pub fn delta(&self, earlier: &EngineStatsSnapshot) -> EngineStatsSnapshot {
+                EngineStatsSnapshot {
+                    $($name: self.$name - earlier.$name,)*
+                }
+            }
+
+            /// Merges two snapshots by summing every counter (aggregating
+            /// nodes).
+            pub fn merged(&self, other: &EngineStatsSnapshot) -> EngineStatsSnapshot {
+                EngineStatsSnapshot {
+                    $($name: self.$name + other.$name,)*
+                }
+            }
+        }
+    };
+}
+
+engine_stats! {
     /// Committed read-write transactions.
-    pub commits_rw: AtomicU64,
+    commits_rw,
     /// Committed read-only transactions.
-    pub commits_ro: AtomicU64,
+    commits_ro,
     /// Aborts during execution (reads of locked objects, missing old
     /// versions, eager validation, stale snapshots).
-    pub aborts_execution: AtomicU64,
+    aborts_execution,
     /// Aborts in the LOCK phase.
-    pub aborts_lock: AtomicU64,
+    aborts_lock,
     /// Aborts in read validation.
-    pub aborts_validation: AtomicU64,
+    aborts_validation,
     /// Aborts because old-version memory was exhausted (MV-ABORT policy).
-    pub aborts_oldver_memory: AtomicU64,
+    aborts_oldver_memory,
     /// Total nanoseconds spent in commit-time uncertainty waits.
-    pub write_wait_ns: AtomicU64,
+    write_wait_ns,
     /// Number of commit-time uncertainty waits.
-    pub write_waits: AtomicU64,
+    write_waits,
     /// Nanoseconds of commit-time uncertainty wait performed **while
     /// COMMIT-BACKUP replication was in flight** (the Figure 4 overlap):
     /// a subset of `write_wait_ns`. Serial dispatch never overlaps, so this
     /// stays 0 there; under pipelined dispatch it approaches `write_wait_ns`.
-    pub write_wait_overlapped_ns: AtomicU64,
+    write_wait_overlapped_ns,
     /// Old versions allocated.
-    pub old_versions_allocated: AtomicU64,
+    old_versions_allocated,
     /// Old-version reads that had to walk the version chain.
-    pub old_version_reads: AtomicU64,
+    old_version_reads,
     /// Times a writer blocked waiting for old-version memory (MV-BLOCK).
-    pub oldver_blocks: AtomicU64,
+    oldver_blocks,
     /// Times history was truncated due to memory pressure (MV-TRUNCATE).
-    pub oldver_truncations: AtomicU64,
+    oldver_truncations,
     /// Reads that exhausted their bounded-backoff retry budget on a locked
     /// head version and aborted.
-    pub read_lock_retries_exhausted: AtomicU64,
+    read_lock_retries_exhausted,
     // ---- Batched read-path counters -------------------------------------
     /// `read_many` batches issued (one per destination primary per call).
-    pub read_batches: AtomicU64,
+    read_batches,
     /// Objects carried by all `read_many` batches (mean batch size =
     /// `read_batch_objects / read_batches`).
-    pub read_batch_objects: AtomicU64,
+    read_batch_objects,
     /// Reads served by the local-bypass fast path (coordinator is the
     /// primary of the target region: no network message is metered).
-    pub read_local_bypass: AtomicU64,
+    read_local_bypass,
     // ---- Batched commit-protocol phase counters -------------------------
     /// LOCK batches sent (one per destination primary per commit attempt).
-    pub lock_batches: AtomicU64,
+    lock_batches,
     /// Objects carried by all LOCK batches (mean batch size =
     /// `lock_batch_objects / lock_batches`).
-    pub lock_batch_objects: AtomicU64,
+    lock_batch_objects,
     /// VALIDATE batches sent (one per destination primary holding unwritten
     /// read-set objects, per commit attempt).
-    pub validate_batches: AtomicU64,
+    validate_batches,
     /// Objects carried by all VALIDATE batches (mean batch size =
     /// `validate_batch_objects / validate_batches`).
-    pub validate_batch_objects: AtomicU64,
+    validate_batch_objects,
     /// COMMIT-BACKUP batches sent (one per backup destination).
-    pub backup_batches: AtomicU64,
+    backup_batches,
     /// COMMIT-PRIMARY batches sent (one per destination primary).
-    pub primary_batches: AtomicU64,
+    primary_batches,
     /// TRUNCATE batches sent (one per backup destination). With early-ack
     /// commits this counts only **standalone idle flushes**; piggybacked
     /// watermark deliveries count under `truncations_piggybacked`.
-    pub truncate_batches: AtomicU64,
+    truncate_batches,
     /// Abort unwinds executed by the commit driver (locks released across
     /// every destination, allocations rolled back).
-    pub unwinds: AtomicU64,
+    unwinds,
     // ---- Early-ack commit lifecycle counters ----------------------------
     /// Commits acknowledged at the end of the critical path (all
     /// COMMIT-BACKUP acks drained), before COMMIT-PRIMARY installs landed.
-    pub early_ack_commits: AtomicU64,
+    early_ack_commits,
     /// Per-destination COMMIT-PRIMARY installs completed in the background
     /// (by the committing engine's opportunistic drain or by helpers).
-    pub installs_background: AtomicU64,
+    installs_background,
     /// Times a reader / locker / validator hit a locked slot of an
     /// already-durable transaction and helped complete its install instead
     /// of backing off or aborting.
-    pub install_helps: AtomicU64,
-    /// Truncation watermark deliveries piggybacked on outgoing LOCK /
-    /// VALIDATE / COMMIT-BACKUP verbs (zero standalone messages).
-    pub truncations_piggybacked: AtomicU64,
+    install_helps,
+    /// Truncation watermarks published by piggybacking on outgoing LOCK /
+    /// VALIDATE / COMMIT-BACKUP verbs (zero standalone messages). The
+    /// covered redo-log entries are applied later, as background units.
+    truncations_piggybacked,
     /// Standalone truncation flushes sent because a watermark sat idle past
     /// [`crate::EngineConfig::truncate_idle_flush`].
-    pub truncate_flushes: AtomicU64,
+    truncate_flushes,
     // ---- Pipeline-pool work-stealing counters ---------------------------
     /// Expired pipeline flights advanced by a pool worker that does not own
     /// them (the owner was stuck in a deadline sleep or busy issuing).
-    pub pipeline_steals: AtomicU64,
-    /// Bounded install-backlog chunks drained by idle pipeline-pool workers
-    /// stealing stage-2 completion work.
-    pub pipeline_steal_drains: AtomicU64,
+    pipeline_steals,
+    /// Times an idle pipeline-pool worker ran background units (installs,
+    /// truncation applies) in its dead time.
+    pipeline_steal_drains,
+    // ---- Background units (installs, truncation applies) by site --------
+    /// Background units run while a strict `begin` waited out its read
+    /// timestamp's uncertainty.
+    background_read_wait_units,
+    /// Nanoseconds those read-wait units took.
+    background_read_wait_ns,
+    /// Background units run while commit verbs were in flight (a
+    /// synchronous commit's phase waits, a pipeline's dead time).
+    background_flight_units,
+    /// Nanoseconds those in-flight units took.
+    background_flight_ns,
+    /// Background units left for the `begin` backstop: after a strict
+    /// `begin`'s wait, or up front for begins that do not wait.
+    background_backstop_units,
+    /// Nanoseconds those backstop units took.
+    background_backstop_ns,
     // ---- Failure-recovery counters --------------------------------------
     /// Decided (early-acked) transactions of a dead coordinator rolled
     /// forward by survivors: their pending COMMIT-PRIMARY installs were
     /// completed from the replicated state and their locks released.
-    pub orphans_rolled_forward: AtomicU64,
+    orphans_rolled_forward,
     /// Undecided transactions unwound because their coordinator died before
     /// the durability point (locks released, allocations rolled back).
-    pub orphans_rolled_back: AtomicU64,
+    orphans_rolled_back,
     /// Retryable aborts absorbed by [`crate::NodeEngine::run_transaction`]'s
     /// bounded-backoff loop (the client observed latency, not a failure).
-    pub retries_absorbed: AtomicU64,
+    retries_absorbed,
     /// Re-replicated backups caught up from untruncated redo-log records
     /// after their state copy (commits that raced the copy).
-    pub backups_caught_up: AtomicU64,
-}
-
-/// Point-in-time copy of [`EngineStats`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct EngineStatsSnapshot {
-    /// Committed read-write transactions.
-    pub commits_rw: u64,
-    /// Committed read-only transactions.
-    pub commits_ro: u64,
-    /// Execution-phase aborts.
-    pub aborts_execution: u64,
-    /// LOCK-phase aborts.
-    pub aborts_lock: u64,
-    /// Validation aborts.
-    pub aborts_validation: u64,
-    /// MV-ABORT memory aborts.
-    pub aborts_oldver_memory: u64,
-    /// Total write-wait nanoseconds.
-    pub write_wait_ns: u64,
-    /// Number of write waits.
-    pub write_waits: u64,
-    /// Write-wait nanoseconds overlapped with in-flight replication.
-    pub write_wait_overlapped_ns: u64,
-    /// Old versions allocated.
-    pub old_versions_allocated: u64,
-    /// Chain-walking reads.
-    pub old_version_reads: u64,
-    /// MV-BLOCK stalls.
-    pub oldver_blocks: u64,
-    /// MV-TRUNCATE truncations.
-    pub oldver_truncations: u64,
-    /// Reads that exhausted the locked-object backoff budget.
-    pub read_lock_retries_exhausted: u64,
-    /// `read_many` batches issued.
-    pub read_batches: u64,
-    /// Objects across all `read_many` batches.
-    pub read_batch_objects: u64,
-    /// Reads served via the local-bypass fast path.
-    pub read_local_bypass: u64,
-    /// LOCK batches sent.
-    pub lock_batches: u64,
-    /// Objects across all LOCK batches.
-    pub lock_batch_objects: u64,
-    /// VALIDATE batches sent.
-    pub validate_batches: u64,
-    /// Objects across all VALIDATE batches.
-    pub validate_batch_objects: u64,
-    /// COMMIT-BACKUP batches sent.
-    pub backup_batches: u64,
-    /// COMMIT-PRIMARY batches sent.
-    pub primary_batches: u64,
-    /// TRUNCATE batches sent (standalone flushes only under early-ack).
-    pub truncate_batches: u64,
-    /// Commit-driver abort unwinds.
-    pub unwinds: u64,
-    /// Commits acknowledged at the end of the critical path.
-    pub early_ack_commits: u64,
-    /// Background per-destination COMMIT-PRIMARY installs completed.
-    pub installs_background: u64,
-    /// Installs completed by helping readers/lockers/validators.
-    pub install_helps: u64,
-    /// Piggybacked truncation watermark deliveries.
-    pub truncations_piggybacked: u64,
-    /// Standalone idle truncation flushes.
-    pub truncate_flushes: u64,
-    /// Expired pipeline flights advanced by a non-owner pool worker.
-    pub pipeline_steals: u64,
-    /// Install-backlog chunks drained by idle pipeline-pool workers.
-    pub pipeline_steal_drains: u64,
-    /// Dead-coordinator transactions rolled forward by survivors.
-    pub orphans_rolled_forward: u64,
-    /// Undecided dead-coordinator transactions unwound.
-    pub orphans_rolled_back: u64,
-    /// Retryable aborts absorbed by the transparent retry wrapper.
-    pub retries_absorbed: u64,
-    /// Re-replicated backups caught up from redo logs.
-    pub backups_caught_up: u64,
+    backups_caught_up,
 }
 
 impl EngineStats {
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> EngineStatsSnapshot {
-        EngineStatsSnapshot {
-            commits_rw: self.commits_rw.load(Ordering::Relaxed),
-            commits_ro: self.commits_ro.load(Ordering::Relaxed),
-            aborts_execution: self.aborts_execution.load(Ordering::Relaxed),
-            aborts_lock: self.aborts_lock.load(Ordering::Relaxed),
-            aborts_validation: self.aborts_validation.load(Ordering::Relaxed),
-            aborts_oldver_memory: self.aborts_oldver_memory.load(Ordering::Relaxed),
-            write_wait_ns: self.write_wait_ns.load(Ordering::Relaxed),
-            write_waits: self.write_waits.load(Ordering::Relaxed),
-            write_wait_overlapped_ns: self.write_wait_overlapped_ns.load(Ordering::Relaxed),
-            old_versions_allocated: self.old_versions_allocated.load(Ordering::Relaxed),
-            old_version_reads: self.old_version_reads.load(Ordering::Relaxed),
-            oldver_blocks: self.oldver_blocks.load(Ordering::Relaxed),
-            oldver_truncations: self.oldver_truncations.load(Ordering::Relaxed),
-            read_lock_retries_exhausted: self.read_lock_retries_exhausted.load(Ordering::Relaxed),
-            read_batches: self.read_batches.load(Ordering::Relaxed),
-            read_batch_objects: self.read_batch_objects.load(Ordering::Relaxed),
-            read_local_bypass: self.read_local_bypass.load(Ordering::Relaxed),
-            lock_batches: self.lock_batches.load(Ordering::Relaxed),
-            lock_batch_objects: self.lock_batch_objects.load(Ordering::Relaxed),
-            validate_batches: self.validate_batches.load(Ordering::Relaxed),
-            validate_batch_objects: self.validate_batch_objects.load(Ordering::Relaxed),
-            backup_batches: self.backup_batches.load(Ordering::Relaxed),
-            primary_batches: self.primary_batches.load(Ordering::Relaxed),
-            truncate_batches: self.truncate_batches.load(Ordering::Relaxed),
-            unwinds: self.unwinds.load(Ordering::Relaxed),
-            early_ack_commits: self.early_ack_commits.load(Ordering::Relaxed),
-            installs_background: self.installs_background.load(Ordering::Relaxed),
-            install_helps: self.install_helps.load(Ordering::Relaxed),
-            truncations_piggybacked: self.truncations_piggybacked.load(Ordering::Relaxed),
-            truncate_flushes: self.truncate_flushes.load(Ordering::Relaxed),
-            pipeline_steals: self.pipeline_steals.load(Ordering::Relaxed),
-            pipeline_steal_drains: self.pipeline_steal_drains.load(Ordering::Relaxed),
-            orphans_rolled_forward: self.orphans_rolled_forward.load(Ordering::Relaxed),
-            orphans_rolled_back: self.orphans_rolled_back.load(Ordering::Relaxed),
-            retries_absorbed: self.retries_absorbed.load(Ordering::Relaxed),
-            backups_caught_up: self.backups_caught_up.load(Ordering::Relaxed),
-        }
-    }
-
     /// Bumps one counter by `n` (convenience used by the commit driver).
     #[inline]
     pub(crate) fn add(counter: &AtomicU64, n: u64) {
@@ -301,94 +241,6 @@ impl EngineStatsSnapshot {
             0.0
         } else {
             self.validate_batch_objects as f64 / self.validate_batches as f64
-        }
-    }
-
-    /// Element-wise difference `self - earlier`.
-    pub fn delta(&self, earlier: &EngineStatsSnapshot) -> EngineStatsSnapshot {
-        EngineStatsSnapshot {
-            commits_rw: self.commits_rw - earlier.commits_rw,
-            commits_ro: self.commits_ro - earlier.commits_ro,
-            aborts_execution: self.aborts_execution - earlier.aborts_execution,
-            aborts_lock: self.aborts_lock - earlier.aborts_lock,
-            aborts_validation: self.aborts_validation - earlier.aborts_validation,
-            aborts_oldver_memory: self.aborts_oldver_memory - earlier.aborts_oldver_memory,
-            write_wait_ns: self.write_wait_ns - earlier.write_wait_ns,
-            write_waits: self.write_waits - earlier.write_waits,
-            write_wait_overlapped_ns: self.write_wait_overlapped_ns
-                - earlier.write_wait_overlapped_ns,
-            old_versions_allocated: self.old_versions_allocated - earlier.old_versions_allocated,
-            old_version_reads: self.old_version_reads - earlier.old_version_reads,
-            oldver_blocks: self.oldver_blocks - earlier.oldver_blocks,
-            oldver_truncations: self.oldver_truncations - earlier.oldver_truncations,
-            read_lock_retries_exhausted: self.read_lock_retries_exhausted
-                - earlier.read_lock_retries_exhausted,
-            read_batches: self.read_batches - earlier.read_batches,
-            read_batch_objects: self.read_batch_objects - earlier.read_batch_objects,
-            read_local_bypass: self.read_local_bypass - earlier.read_local_bypass,
-            lock_batches: self.lock_batches - earlier.lock_batches,
-            lock_batch_objects: self.lock_batch_objects - earlier.lock_batch_objects,
-            validate_batches: self.validate_batches - earlier.validate_batches,
-            validate_batch_objects: self.validate_batch_objects - earlier.validate_batch_objects,
-            backup_batches: self.backup_batches - earlier.backup_batches,
-            primary_batches: self.primary_batches - earlier.primary_batches,
-            truncate_batches: self.truncate_batches - earlier.truncate_batches,
-            unwinds: self.unwinds - earlier.unwinds,
-            early_ack_commits: self.early_ack_commits - earlier.early_ack_commits,
-            installs_background: self.installs_background - earlier.installs_background,
-            install_helps: self.install_helps - earlier.install_helps,
-            truncations_piggybacked: self.truncations_piggybacked - earlier.truncations_piggybacked,
-            truncate_flushes: self.truncate_flushes - earlier.truncate_flushes,
-            pipeline_steals: self.pipeline_steals - earlier.pipeline_steals,
-            pipeline_steal_drains: self.pipeline_steal_drains - earlier.pipeline_steal_drains,
-            orphans_rolled_forward: self.orphans_rolled_forward - earlier.orphans_rolled_forward,
-            orphans_rolled_back: self.orphans_rolled_back - earlier.orphans_rolled_back,
-            retries_absorbed: self.retries_absorbed - earlier.retries_absorbed,
-            backups_caught_up: self.backups_caught_up - earlier.backups_caught_up,
-        }
-    }
-
-    /// Merges two snapshots by summing every counter (aggregating nodes).
-    pub fn merged(&self, other: &EngineStatsSnapshot) -> EngineStatsSnapshot {
-        EngineStatsSnapshot {
-            commits_rw: self.commits_rw + other.commits_rw,
-            commits_ro: self.commits_ro + other.commits_ro,
-            aborts_execution: self.aborts_execution + other.aborts_execution,
-            aborts_lock: self.aborts_lock + other.aborts_lock,
-            aborts_validation: self.aborts_validation + other.aborts_validation,
-            aborts_oldver_memory: self.aborts_oldver_memory + other.aborts_oldver_memory,
-            write_wait_ns: self.write_wait_ns + other.write_wait_ns,
-            write_waits: self.write_waits + other.write_waits,
-            write_wait_overlapped_ns: self.write_wait_overlapped_ns
-                + other.write_wait_overlapped_ns,
-            old_versions_allocated: self.old_versions_allocated + other.old_versions_allocated,
-            old_version_reads: self.old_version_reads + other.old_version_reads,
-            oldver_blocks: self.oldver_blocks + other.oldver_blocks,
-            oldver_truncations: self.oldver_truncations + other.oldver_truncations,
-            read_lock_retries_exhausted: self.read_lock_retries_exhausted
-                + other.read_lock_retries_exhausted,
-            read_batches: self.read_batches + other.read_batches,
-            read_batch_objects: self.read_batch_objects + other.read_batch_objects,
-            read_local_bypass: self.read_local_bypass + other.read_local_bypass,
-            lock_batches: self.lock_batches + other.lock_batches,
-            lock_batch_objects: self.lock_batch_objects + other.lock_batch_objects,
-            validate_batches: self.validate_batches + other.validate_batches,
-            validate_batch_objects: self.validate_batch_objects + other.validate_batch_objects,
-            backup_batches: self.backup_batches + other.backup_batches,
-            primary_batches: self.primary_batches + other.primary_batches,
-            truncate_batches: self.truncate_batches + other.truncate_batches,
-            unwinds: self.unwinds + other.unwinds,
-            early_ack_commits: self.early_ack_commits + other.early_ack_commits,
-            installs_background: self.installs_background + other.installs_background,
-            install_helps: self.install_helps + other.install_helps,
-            truncations_piggybacked: self.truncations_piggybacked + other.truncations_piggybacked,
-            truncate_flushes: self.truncate_flushes + other.truncate_flushes,
-            pipeline_steals: self.pipeline_steals + other.pipeline_steals,
-            pipeline_steal_drains: self.pipeline_steal_drains + other.pipeline_steal_drains,
-            orphans_rolled_forward: self.orphans_rolled_forward + other.orphans_rolled_forward,
-            orphans_rolled_back: self.orphans_rolled_back + other.orphans_rolled_back,
-            retries_absorbed: self.retries_absorbed + other.retries_absorbed,
-            backups_caught_up: self.backups_caught_up + other.backups_caught_up,
         }
     }
 }

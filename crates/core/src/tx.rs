@@ -8,13 +8,14 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use farm_clock::TsMode;
 use farm_memory::{Addr, ConsistentRead, OldAddr, OldVersion, RegionId};
 
 use crate::commit::{CommitDriver, CommitPlan};
-use crate::engine::NodeEngine;
+use crate::engine::{BackgroundSite, NodeEngine};
 use crate::error::{AbortReason, TxError};
 use crate::opts::{IsolationLevel, TxOptions};
 use crate::stats::EngineStats;
@@ -113,8 +114,9 @@ impl Transaction {
         let baseline = engine.config().mode.is_baseline();
         let serial = engine.next_serial();
         // Acquire the read timestamp. Strict transactions use GET_TS (upper
-        // bound + uncertainty wait); non-strict ones take the lower bound
-        // with no wait. The baseline has no read timestamps at all.
+        // bound + uncertainty wait), split so the engine's background units
+        // run inside the wait; non-strict ones take the lower bound with no
+        // wait. The baseline has no read timestamps at all.
         //
         // Registration happens in two wait-free steps: publish a
         // conservative placeholder (the clock's current lower bound, which
@@ -133,13 +135,26 @@ impl Transaction {
                 .map(|i| i.lower)
                 .unwrap_or(0);
             let active = engine.register_active(serial, placeholder);
-            let mode = if opts.strict {
-                TsMode::StrictWait
+            let clock = engine.handle().clock();
+            let read_ts = if opts.strict {
+                // Reads start only once the timestamp is in the past, so the
+                // wait completes before `start` returns; until then the
+                // coordinator thread works instead of spinning.
+                let target = clock.get_ts_deferred().as_nanos();
+                if engine.has_background() {
+                    let remaining = clock
+                        .time_unchecked()
+                        .map_or(0, |i| target.saturating_sub(i.lower));
+                    engine.background_until(
+                        Instant::now() + Duration::from_nanos(remaining),
+                        BackgroundSite::ReadWait,
+                    );
+                }
+                clock.complete_deferred_wait(target);
+                target
             } else {
-                TsMode::NonStrictRead
+                clock.get_ts(TsMode::NonStrictRead).0.as_nanos()
             };
-            let (ts, _waited) = engine.handle().clock().get_ts(mode);
-            let read_ts = ts.as_nanos();
             engine.update_active(active, read_ts);
             (read_ts, active)
         };
@@ -191,6 +206,12 @@ impl Transaction {
         self.read_set.len()
     }
 
+    /// The version timestamp this transaction observed for `addr` (None
+    /// when it has not read `addr` from the store).
+    pub fn read_version(&self, addr: Addr) -> Option<u64> {
+        self.read_set.get(&addr).copied()
+    }
+
     // ------------------------------------------------------------------
     // Execution phase
     // ------------------------------------------------------------------
@@ -206,7 +227,7 @@ impl Transaction {
         if let Some(buffered) = self.write_set.get(&addr) {
             return Ok(buffered.clone());
         }
-        let (primary, region) = self.engine.primary_region_of(addr)?;
+        let (primary, region) = self.route(addr)?;
         let slot = region
             .slot(addr)
             .map_err(|_| self.execution_abort(AbortReason::BadAddress(addr)))?;
@@ -275,7 +296,7 @@ impl Transaction {
         let mut by_primary: BTreeMap<farm_net::NodeId, Vec<RegionBatch>> = BTreeMap::new();
         for (_region_id, idxs) in by_region {
             let probe = addrs[idxs[0]];
-            let (primary, region) = self.engine.primary_region_of(probe)?;
+            let (primary, region) = self.route(probe)?;
             by_primary.entry(primary).or_default().push((region, idxs));
         }
         // One verb per destination primary; its work closure performs the
@@ -669,6 +690,18 @@ impl Transaction {
                 let _ = region.free(*addr);
             }
         }
+    }
+
+    /// Routes a read of `addr` to its region's primary. A machine that has
+    /// died is fenced off: its clock no longer follows the cluster's (a clock
+    /// failover restarts the cluster's time at the fast-forward value, which
+    /// can be behind it), so a snapshot it takes may lie in the future of
+    /// commits still to come, and reading at it could tear.
+    fn route(&self, addr: Addr) -> Result<(farm_net::NodeId, Arc<farm_memory::Region>), TxError> {
+        if !self.engine.is_alive() {
+            return Err(TxError::Aborted(AbortReason::CoordinatorDead));
+        }
+        self.engine.primary_region_of(addr)
     }
 
     fn execution_abort(&mut self, reason: AbortReason) -> TxError {

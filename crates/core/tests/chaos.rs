@@ -157,23 +157,58 @@ fn conservation_checker(engine: &Arc<Engine>, accounts: &[Addr], stop: &AtomicBo
             break;
         };
         let result = node.run_transaction(TxOptions::serializable(), |tx| {
-            let mut sum = 0u64;
+            let mut reads = Vec::with_capacity(accounts.len());
             for &addr in accounts {
-                sum += balance(&tx.read(addr)?);
+                let value = balance(&tx.read(addr)?);
+                reads.push((value, tx.read_version(addr).unwrap_or(0)));
             }
-            Ok(sum)
+            Ok(reads)
         });
-        if let Ok((sum, info)) = result {
+        if let Ok((reads, info)) = result {
+            let sum: u64 = reads.iter().map(|&(value, _)| value).sum();
             assert_eq!(
-                sum, total,
-                "conservation violated at read_ts {}: snapshot tear",
-                info.read_ts
+                sum,
+                total,
+                "conservation violated at read_ts {} (reader {:?}): snapshot tear\n{}",
+                info.read_ts,
+                node.id(),
+                tear_report(engine, accounts, &reads)
             );
             checks += 1;
         }
         std::thread::sleep(Duration::from_micros(300));
     }
     checks
+}
+
+/// How many trailing cluster events a tear report shows.
+const EVENT_TAIL: usize = 24;
+
+/// Diagnostics for a conservation violation: every account's snapshot value
+/// and version timestamp next to its region, current primary and the head
+/// version there, followed by the tail of the cluster event log.
+fn tear_report(engine: &Arc<Engine>, accounts: &[Addr], reads: &[(u64, u64)]) -> String {
+    let mut out = String::from("account  value  version_ts  region  primary  primary_head_ts\n");
+    for (i, (&addr, &(value, version))) in accounts.iter().zip(reads).enumerate() {
+        let primary = engine.cluster().primary_of(addr.region);
+        let head = primary
+            .and_then(|p| engine.cluster().node(p).regions().get(addr.region))
+            .and_then(|r| r.slot(addr).ok())
+            .map(|s| s.header_snapshot());
+        out += &format!(
+            "{i:>7}  {value:>5}  {version:>10}  {:?}  {primary:?}  {:?}\n",
+            addr.region,
+            head.map(|h| (h.ts, h.locked)),
+        );
+    }
+    let events = engine.cluster().events().snapshot();
+    let start = events.first().map(|e| e.at);
+    out += &format!("last {EVENT_TAIL} of {} events:\n", events.len());
+    for event in &events[events.len().saturating_sub(EVENT_TAIL)..] {
+        let offset = start.map_or(Duration::ZERO, |s| event.at.duration_since(s));
+        out += &format!("  +{offset:?} {:?}\n", event.kind);
+    }
+    out
 }
 
 /// Waits until the cluster has restored full redundancy after a failure.

@@ -140,6 +140,10 @@ pub struct Cluster {
     faults: Arc<FaultPlane>,
     config_store: Arc<ConfigStore>,
     placement: RwLock<Placement>,
+    /// Bumped inside every placement write, before the lock is released:
+    /// whoever reads it unchanged across a span has seen no placement change
+    /// in between (see [`Cluster::placement_version`]).
+    placement_version: AtomicU64,
     /// Regions currently draining for a reconfiguration: new transactions on
     /// them are rejected (retryably) until promotions and log replays finish.
     blocked_regions: RwLock<HashSet<RegionId>>,
@@ -214,6 +218,7 @@ impl Cluster {
             faults,
             config_store,
             placement: RwLock::new(placement),
+            placement_version: AtomicU64::new(0),
             blocked_regions: RwLock::new(HashSet::new()),
             blocked_count: AtomicUsize::new(0),
             events: EventLog::new(),
@@ -284,6 +289,14 @@ impl Cluster {
     /// All region ids.
     pub fn regions(&self) -> Vec<RegionId> {
         self.placement.read().regions()
+    }
+
+    /// A counter that changes whenever the placement does (promotions,
+    /// re-replication). Read it before resolving primaries: if it reads the
+    /// same later, none of them has moved since — a one-load check instead
+    /// of re-resolving every region.
+    pub fn placement_version(&self) -> u64 {
+        self.placement_version.load(Ordering::Acquire)
     }
 
     /// The current primary of a region, if the region exists.
@@ -620,6 +633,7 @@ impl Cluster {
             for &f in &failed {
                 promotions.extend(placement.remove_node(f));
             }
+            self.placement_version.fetch_add(1, Ordering::AcqRel);
         }
         for (region, new_primary) in &promotions {
             // The new primary rebuilds allocator state by scanning headers.
@@ -744,6 +758,7 @@ impl Cluster {
                     new_backups.push((*region, backup));
                 }
             }
+            self.placement_version.fetch_add(1, Ordering::AcqRel);
         }
         if new_backups.is_empty() {
             self.events.record(EventKind::RereplicationComplete);

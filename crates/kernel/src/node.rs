@@ -131,9 +131,12 @@ impl NodeHandle {
         self.alive.load(Ordering::Acquire)
     }
 
-    /// Marks the machine as crashed.
+    /// Marks the machine as crashed. Its clock retires too, so a thread of
+    /// the dead machine blocked on a clock disabled for a failover returns
+    /// instead of waiting for an enable that will never come.
     pub fn mark_dead(&self) {
         self.alive.store(false, Ordering::Release);
+        self.clock.retire();
     }
 }
 
