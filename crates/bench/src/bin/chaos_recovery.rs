@@ -12,6 +12,7 @@
 //! overrides the schedule count (default 5), `FARM_CHAOS_COOLDOWN_MS` the
 //! post-heal load window.
 
+use farm_bench::{env_override, parse_count};
 use farm_core::{AbortReason, Engine, EngineConfig, NodeId, TxError, TxOptions};
 use farm_kernel::{ClusterConfig, EventKind};
 use farm_memory::Addr;
@@ -320,16 +321,9 @@ fn run_schedule(seed: u64, cooldown: Duration) -> ScheduleResult {
 }
 
 fn main() {
-    let schedules: u64 = std::env::var("FARM_CHAOS_SCHEDULES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
-    let cooldown = Duration::from_millis(
-        std::env::var("FARM_CHAOS_COOLDOWN_MS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(30),
-    );
+    let schedules = env_override("FARM_CHAOS_SCHEDULES", parse_count).unwrap_or(5);
+    let cooldown =
+        Duration::from_millis(env_override("FARM_CHAOS_COOLDOWN_MS", parse_count).unwrap_or(30));
 
     let mut results = Vec::new();
     for seed in 0..schedules {

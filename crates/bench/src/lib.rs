@@ -310,14 +310,52 @@ pub fn small_tpcc() -> TpccConfig {
 }
 
 /// Reads a duration (seconds) override from the environment, falling back to
-/// `default_secs`. All harnesses honor `FARM_BENCH_SECS` so CI can shorten
-/// runs.
+/// `default_secs` when it is unset. All harnesses honor `FARM_BENCH_SECS` so
+/// CI can shorten runs; a value that is not a finite, non-negative number
+/// of seconds ends the process with an error.
 pub fn bench_duration(default_secs: f64) -> Duration {
-    std::env::var("FARM_BENCH_SECS")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Duration::from_secs_f64)
+    env_override("FARM_BENCH_SECS", parse_secs)
         .unwrap_or_else(|| Duration::from_secs_f64(default_secs))
+}
+
+/// The override in environment variable `name`, or `None` when it is unset.
+/// A value `parse` rejects ends the process with status 2 and a message
+/// naming the variable and the value, rather than silently running with a
+/// default the caller did not ask for.
+pub fn env_override<T>(name: &str, parse: fn(&str) -> Result<T, String>) -> Option<T> {
+    let raw = std::env::var_os(name)?;
+    match check_override(name, &raw.to_string_lossy(), parse) {
+        Ok(value) => Some(value),
+        Err(message) => {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Parses one override value, naming the variable and the value on error.
+fn check_override<T>(
+    name: &str,
+    raw: &str,
+    parse: fn(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    parse(raw).map_err(|expected| format!("{name}={raw:?}: expected {expected}"))
+}
+
+/// A finite, non-negative number of seconds.
+fn parse_secs(raw: &str) -> Result<Duration, String> {
+    raw.trim()
+        .parse::<f64>()
+        .ok()
+        .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+        .ok_or_else(|| "a finite, non-negative number of seconds".to_string())
+}
+
+/// A non-negative integer.
+pub fn parse_count(raw: &str) -> Result<u64, String> {
+    raw.trim()
+        .parse::<u64>()
+        .map_err(|_| "a non-negative integer".to_string())
 }
 
 #[cfg(test)]
@@ -370,5 +408,35 @@ mod tests {
     fn bench_duration_env_override() {
         std::env::remove_var("FARM_BENCH_SECS");
         assert_eq!(bench_duration(1.5), Duration::from_secs_f64(1.5));
+    }
+
+    #[test]
+    fn malformed_overrides_are_errors_naming_variable_and_value() {
+        assert_eq!(
+            check_override("FARM_BENCH_SECS", " 0.25", parse_secs),
+            Ok(Duration::from_millis(250))
+        );
+        assert_eq!(
+            check_override("FARM_BENCH_SECS", "0", parse_secs),
+            Ok(Duration::ZERO)
+        );
+        for bad in ["", "abc", "1s", "-1", "-0.5", "NaN", "inf", "1e400"] {
+            let err = check_override("FARM_BENCH_SECS", bad, parse_secs).unwrap_err();
+            assert!(
+                err.starts_with(&format!("FARM_BENCH_SECS={bad:?}")),
+                "{bad:?}: {err}"
+            );
+        }
+        assert_eq!(
+            check_override("FARM_CHAOS_SCHEDULES", "7", parse_count),
+            Ok(7)
+        );
+        for bad in ["", "x", "-3", "2.5", "1e3"] {
+            let err = check_override("FARM_CHAOS_COOLDOWN_MS", bad, parse_count).unwrap_err();
+            assert_eq!(
+                err,
+                format!("FARM_CHAOS_COOLDOWN_MS={bad:?}: expected a non-negative integer")
+            );
+        }
     }
 }

@@ -46,14 +46,14 @@
 //! published but not yet applied is still in the redo log, so promotion
 //! replay and re-replication catch-up still find it.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
 use farm_kernel::NodeHandle;
-use farm_memory::{Addr, RegionId};
+use farm_memory::{Addr, AddrMap, RegionId};
 use farm_net::{NodeId, PhaseLabel};
 use parking_lot::Mutex;
 
@@ -249,7 +249,7 @@ pub(crate) struct Backlog {
     nodes: Vec<Arc<NodeHandle>>,
     /// Locked-address → (pending install, destination index), sharded so
     /// commit enqueue/withdraw and reader lookups don't contend on one lock.
-    index: Vec<Mutex<HashMap<Addr, IndexedInstall>>>,
+    index: Vec<Mutex<AddrMap<IndexedInstall>>>,
     /// Per-node backup redo logs.
     logs: Vec<Mutex<VecDeque<LogEntry>>>,
     /// Per-coordinator truncation state.
@@ -265,7 +265,7 @@ impl Backlog {
         Backlog {
             nodes,
             index: (0..INDEX_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(AddrMap::default()))
                 .collect(),
             logs: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
             trunc: (0..n)

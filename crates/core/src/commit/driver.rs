@@ -87,7 +87,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use farm_clock::TsMode;
-use farm_memory::{Addr, LockOutcome, ObjectSlot, OldAddr, OldVersion};
+use farm_memory::{Addr, AddrMap, AddrSet, LockOutcome, ObjectSlot, OldAddr, OldVersion};
 use farm_net::{Completion, CompletionSet, DispatchMode, NodeId, PhaseLabel, Verb};
 
 use crate::active::ActiveToken;
@@ -208,7 +208,7 @@ pub struct CommitDriver {
     engine: Arc<NodeEngine>,
     opts: TxOptions,
     read_ts: u64,
-    read_set: HashMap<Addr, u64>,
+    read_set: AddrMap<u64>,
     alloc_set: Vec<Addr>,
     plan: CommitPlan,
     phase: CommitPhase,
@@ -262,7 +262,7 @@ impl CommitDriver {
         engine: Arc<NodeEngine>,
         opts: TxOptions,
         read_ts: u64,
-        read_set: HashMap<Addr, u64>,
+        read_set: AddrMap<u64>,
         alloc_set: Vec<Addr>,
         plan: CommitPlan,
         active: ActiveToken,
@@ -702,8 +702,8 @@ impl CommitDriver {
         // OLTP case) probe the plan directly instead of materializing a
         // hash set per commit.
         let small = self.plan.total_intents() <= 16;
-        let written: std::collections::HashSet<Addr> = if small {
-            std::collections::HashSet::new()
+        let written: AddrSet = if small {
+            AddrSet::default()
         } else {
             self.plan
                 .groups
@@ -720,16 +720,17 @@ impl CommitDriver {
         };
         // Group the unwritten reads by destination primary, ascending by
         // address within each group (deterministic first-failure reporting),
-        // carrying each address's resolved region so the validation closure
-        // does not re-resolve it.
-        type Unvalidated = (Addr, u64, Arc<farm_memory::Region>);
-        let mut by_primary: std::collections::BTreeMap<NodeId, Vec<Unvalidated>> =
+        // carrying each address's resolved region (borrowed from this
+        // handle on the engine) so the validation closure does not
+        // re-resolve it.
+        let engine = Arc::clone(&self.engine);
+        let mut by_primary: std::collections::BTreeMap<NodeId, Vec<Unvalidated<'_>>> =
             std::collections::BTreeMap::new();
         for (&addr, &observed) in &self.read_set {
             if is_written(addr) {
                 continue;
             }
-            let Ok((primary, region)) = self.engine.primary_region_of(addr) else {
+            let Ok((primary, region)) = engine.primary_region_of(addr) else {
                 return Err(self.abort(AbortReason::ValidationFailed(addr)));
             };
             by_primary
@@ -740,7 +741,6 @@ impl CommitDriver {
         for entries in by_primary.values_mut() {
             entries.sort_by_key(|&(addr, ..)| addr);
         }
-        let engine = Arc::clone(&self.engine);
         let stats = &engine.stats;
         let baseline = self.baseline;
         let read_ts = self.read_ts;
@@ -1381,6 +1381,10 @@ fn allocate_old_version(
     }
 }
 
+/// One read awaiting validation: its address, the version observed, and the
+/// region replica it lives in.
+type Unvalidated<'e> = (Addr, u64, &'e Arc<farm_memory::Region>);
+
 /// Validates one destination's batch of header reads. Returns the first
 /// (smallest, entries are sorted) failing address, or `None` when the whole
 /// batch validates. A locked header belonging to an already-durable
@@ -1388,7 +1392,7 @@ fn allocate_old_version(
 /// decides honestly (a newer installed version still fails validation).
 fn validate_at_destination(
     engine: &NodeEngine,
-    entries: &[(Addr, u64, Arc<farm_memory::Region>)],
+    entries: &[Unvalidated<'_>],
     baseline: bool,
     read_ts: u64,
 ) -> Option<Addr> {

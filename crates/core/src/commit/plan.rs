@@ -10,10 +10,10 @@
 //! coordinators (no two committers ever acquire overlapping lock sets in
 //! opposite orders, so batched locking cannot deadlock).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use farm_memory::{Addr, Region, RegionId};
+use farm_memory::{Addr, AddrMap, Region, RegionId};
 use farm_net::NodeId;
 
 use crate::engine::NodeEngine;
@@ -125,10 +125,10 @@ impl CommitPlan {
     /// against).
     pub fn build(
         engine: &NodeEngine,
-        write_set: &HashMap<Addr, Bytes>,
+        write_set: &AddrMap<Bytes>,
         free_set: &[Addr],
         alloc_set: &[Addr],
-        read_set: &HashMap<Addr, u64>,
+        read_set: &AddrMap<u64>,
     ) -> Result<CommitPlan, AbortReason> {
         let placement_version = engine.cluster().placement_version();
         let mut intents: Vec<WriteIntent> = Vec::with_capacity(write_set.len() + free_set.len());
@@ -184,10 +184,9 @@ impl CommitPlan {
             });
         }
 
-        // Group by region, then sort groups by region id and intents by
-        // address: the resulting iteration order is the ascending global
-        // address order.
-        let mut by_region: HashMap<RegionId, Vec<WriteIntent>> = HashMap::new();
+        // Group by region (ascending) and sort intents by address: the
+        // resulting iteration order is the ascending global address order.
+        let mut by_region: BTreeMap<RegionId, Vec<WriteIntent>> = BTreeMap::new();
         for intent in intents {
             by_region
                 .entry(intent.addr.region)
@@ -206,11 +205,10 @@ impl CommitPlan {
                 region,
                 primary,
                 backups,
-                region_handle,
+                region_handle: Arc::clone(region_handle),
                 intents: group_intents,
             });
         }
-        groups.sort_by_key(|g| g.region);
         cancelled_allocs.sort();
         Ok(CommitPlan {
             groups,
@@ -343,11 +341,11 @@ mod tests {
         frees: &[Addr],
         read_ts: u64,
     ) -> CommitPlan {
-        let mut write_set = HashMap::new();
+        let mut write_set = AddrMap::default();
         for (a, d) in writes {
             write_set.insert(*a, Bytes::from(d.to_vec()));
         }
-        let mut read_set = HashMap::new();
+        let mut read_set = AddrMap::default();
         for (a, _) in writes {
             read_set.insert(*a, read_ts);
         }
@@ -418,8 +416,8 @@ mod tests {
         let (engine, _) = setup();
         let node = engine.node(NodeId(0));
         let region = engine.cluster().regions()[0];
-        let mut write_set = HashMap::new();
-        let read_set = HashMap::new();
+        let mut write_set = AddrMap::default();
+        let read_set = AddrMap::default();
         // Simulate an alloc followed by a free of the same address.
         let primary = engine.cluster().primary_of(region).unwrap();
         let replica = engine.cluster().node(primary).regions().ensure(region);
@@ -446,8 +444,8 @@ mod tests {
             let node = engine.node(NodeId(0));
             // Select a subset (with duplicates dropped), in arbitrary order;
             // mark some as frees.
-            let mut write_set = HashMap::new();
-            let mut read_set = HashMap::new();
+            let mut write_set = AddrMap::default();
+            let mut read_set = AddrMap::default();
             let mut frees = Vec::new();
             let mut chosen = Vec::new();
             for (i, kind) in picks {

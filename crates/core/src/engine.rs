@@ -535,7 +535,7 @@ impl NodeEngine {
     /// for a reconfiguration or its primary is dead awaiting promotion —
     /// both clear within one reconfiguration, so a retry loop rides them
     /// out.
-    pub(crate) fn primary_region_of(&self, addr: Addr) -> Result<(NodeId, Arc<Region>), TxError> {
+    pub(crate) fn primary_region_of(&self, addr: Addr) -> Result<(NodeId, &Arc<Region>), TxError> {
         if self.cluster.is_region_blocked(addr.region) {
             return Err(TxError::Aborted(AbortReason::Reconfiguring(addr.region)));
         }

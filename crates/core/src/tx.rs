@@ -6,13 +6,13 @@
 //! sets by destination machine and hands it to the
 //! [`CommitDriver`](crate::commit::CommitDriver) phase state machine.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use farm_clock::TsMode;
-use farm_memory::{Addr, ConsistentRead, OldAddr, OldVersion, RegionId};
+use farm_memory::{Addr, AddrMap, ConsistentRead, OldAddr, OldVersion, Region, RegionId};
 
 use crate::commit::{CommitDriver, CommitPlan};
 use crate::engine::{BackgroundSite, NodeEngine};
@@ -99,9 +99,9 @@ pub struct Transaction {
     /// read-only by construction.
     stale_readonly: bool,
     /// Versions observed by reads: addr → observed timestamp.
-    read_set: HashMap<Addr, u64>,
+    read_set: AddrMap<u64>,
     /// Buffered writes: addr → new payload.
-    write_set: HashMap<Addr, Bytes>,
+    write_set: AddrMap<Bytes>,
     /// Objects allocated by this transaction (payload installed at commit).
     alloc_set: Vec<Addr>,
     /// Objects freed by this transaction.
@@ -165,8 +165,8 @@ impl Transaction {
             opts,
             read_ts,
             stale_readonly: false,
-            read_set: HashMap::new(),
-            write_set: HashMap::new(),
+            read_set: AddrMap::default(),
+            write_set: AddrMap::default(),
             alloc_set: Vec::new(),
             free_set: Vec::new(),
             finished: false,
@@ -183,8 +183,8 @@ impl Transaction {
             opts: TxOptions::serializable(),
             read_ts,
             stale_readonly: true,
-            read_set: HashMap::new(),
-            write_set: HashMap::new(),
+            read_set: AddrMap::default(),
+            write_set: AddrMap::default(),
             alloc_set: Vec::new(),
             free_set: Vec::new(),
             finished: false,
@@ -227,30 +227,42 @@ impl Transaction {
         if let Some(buffered) = self.write_set.get(&addr) {
             return Ok(buffered.clone());
         }
-        let (primary, region) = self.route(addr)?;
+        // The route and the slot are borrowed from the engine's snapshots,
+        // so resolving them writes nothing; the borrows end before the
+        // outcome is admitted into the read set.
+        let (primary, region) = route(&self.engine, addr)?;
+        match self.read_head(primary, region, addr) {
+            Ok(result) => self.admit_read(primary, addr, result),
+            Err(reason) => Err(self.execution_abort(reason)),
+        }
+    }
+
+    /// One-sided RDMA reads of `addr`'s head version from `primary`'s
+    /// replica (free when the primary is this machine) until it is not
+    /// locked.
+    fn read_head(
+        &self,
+        primary: farm_net::NodeId,
+        region: &Region,
+        addr: Addr,
+    ) -> Result<ConsistentRead, AbortReason> {
         let slot = region
             .slot(addr)
-            .map_err(|_| self.execution_abort(AbortReason::BadAddress(addr)))?;
+            .map_err(|_| AbortReason::BadAddress(addr))?;
         let local = primary == self.engine.id();
         let mut backoff = LockBackoff::new(self.engine.config().read_lock_retries);
         loop {
-            // One-sided RDMA read of the head version from the primary
-            // (free when the primary is this machine).
-            self.meter_read(local, 64 + slot.raw_data().len());
-            match slot.read_consistent() {
-                ConsistentRead::Locked => {
-                    // A lock held by an already-durable (early-acked)
-                    // transaction is not contention: help complete its
-                    // install and re-read immediately.
-                    if self.engine.help_install(addr) {
-                        continue;
-                    }
-                    if !backoff.wait() {
-                        EngineStats::bump(&self.engine.stats.read_lock_retries_exhausted);
-                        return Err(self.execution_abort(AbortReason::ReadLockedObject(addr)));
-                    }
-                }
-                other => return self.admit_read(primary, addr, other),
+            let result = slot.read_consistent();
+            self.meter_read(local, read_bytes(&result));
+            if !matches!(result, ConsistentRead::Locked) {
+                return Ok(result);
+            }
+            // A lock held by an already-durable (early-acked) transaction is
+            // not contention: help complete its install and re-read
+            // immediately.
+            if !self.engine.help_install(addr) && !backoff.wait() {
+                EngineStats::bump(&self.engine.stats.read_lock_retries_exhausted);
+                return Err(AbortReason::ReadLockedObject(addr));
             }
         }
     }
@@ -292,18 +304,21 @@ impl Transaction {
         }
         // Resolve routing at the coordinator: several regions with the same
         // primary share one doorbell-batched read message (one verb).
-        type RegionBatch = (Arc<farm_memory::Region>, Vec<usize>);
-        let mut by_primary: BTreeMap<farm_net::NodeId, Vec<RegionBatch>> = BTreeMap::new();
+        // Regions are borrowed through a local handle on the engine rather
+        // than through `self`, so the per-slot fallbacks below may still
+        // borrow `self` mutably.
+        let engine = Arc::clone(&self.engine);
+        type RegionBatch<'e> = (&'e Arc<farm_memory::Region>, Vec<usize>);
+        let mut by_primary: BTreeMap<farm_net::NodeId, Vec<RegionBatch<'_>>> = BTreeMap::new();
         for (_region_id, idxs) in by_region {
             let probe = addrs[idxs[0]];
-            let (primary, region) = self.route(probe)?;
+            let (primary, region) = route(&engine, probe)?;
             by_primary.entry(primary).or_default().push((region, idxs));
         }
         // One verb per destination primary; its work closure performs the
         // destination's region traversals (in that destination's fixed
         // region/index order, so completions can be re-associated positionally
         // below), so under threaded dispatch they genuinely overlap.
-        let engine = Arc::clone(&self.engine);
         let mut set: farm_net::CompletionSet<'_, (Vec<ConsistentRead>, usize)> =
             farm_net::CompletionSet::new(engine.meter.latency_model());
         for (&primary, groups) in &by_primary {
@@ -313,11 +328,7 @@ impl Transaction {
                 for (region, idxs) in groups {
                     let batch: Vec<Addr> = idxs.iter().map(|&i| addrs[i]).collect();
                     for result in region.read_consistent_batch(&batch) {
-                        bytes += 64
-                            + match &result {
-                                ConsistentRead::Value { data, .. } => data.len(),
-                                _ => 0,
-                            };
+                        bytes += read_bytes(&result);
                         results.push(result);
                     }
                 }
@@ -335,10 +346,10 @@ impl Transaction {
         // Completions return in issue order — the `by_primary` iteration
         // order — so each one zips positionally with its destination's
         // (region, indices) batches; no per-address routing map is needed.
-        type Pending = (
+        type Pending<'e> = (
             usize,
             farm_net::NodeId,
-            Arc<farm_memory::Region>,
+            &'e Arc<farm_memory::Region>,
             ConsistentRead,
         );
         let mut pending: Vec<Pending> = Vec::with_capacity(addrs.len());
@@ -357,7 +368,7 @@ impl Transaction {
             for (region, idxs) in groups {
                 for &i in idxs {
                     let result = results.next().expect("one result per batched address");
-                    pending.push((i, primary, Arc::clone(region), result));
+                    pending.push((i, primary, *region, result));
                 }
             }
         }
@@ -368,44 +379,21 @@ impl Transaction {
         // Admit each slot's snapshot, applying the per-slot fallbacks.
         for (i, primary, region, result) in pending {
             let addr = addrs[i];
-            let value = match result {
-                ConsistentRead::Locked => self.reread_locked(primary, &region, addr)?,
-                other => self.admit_read(primary, addr, other)?,
+            let result = match result {
+                // Durable-but-uninstalled writers are helped, others waited
+                // out with bounded backoff, exactly as in a point read.
+                ConsistentRead::Locked => self.read_head(primary, region, addr),
+                other => Ok(other),
             };
-            out[i] = Some(value);
+            out[i] = Some(match result {
+                Ok(result) => self.admit_read(primary, addr, result)?,
+                Err(reason) => return Err(self.execution_abort(reason)),
+            });
         }
         Ok(out
             .into_iter()
             .map(|v| v.expect("every slot filled"))
             .collect())
-    }
-
-    /// Re-reads a single slot that was locked inside a batch, with bounded
-    /// exponential backoff. Retry reads are metered individually (the batch
-    /// message has already completed by the time the fallback runs).
-    fn reread_locked(
-        &mut self,
-        primary: farm_net::NodeId,
-        region: &Arc<farm_memory::Region>,
-        addr: Addr,
-    ) -> Result<Bytes, TxError> {
-        let slot = region
-            .slot(addr)
-            .map_err(|_| self.execution_abort(AbortReason::BadAddress(addr)))?;
-        let local = primary == self.engine.id();
-        let mut backoff = LockBackoff::new(self.engine.config().read_lock_retries);
-        loop {
-            // Durable-but-uninstalled writers are helped, not waited out.
-            if !self.engine.help_install(addr) && !backoff.wait() {
-                EngineStats::bump(&self.engine.stats.read_lock_retries_exhausted);
-                return Err(self.execution_abort(AbortReason::ReadLockedObject(addr)));
-            }
-            self.meter_read(local, 64 + slot.raw_data().len());
-            match slot.read_consistent() {
-                ConsistentRead::Locked => continue,
-                other => return self.admit_read(primary, addr, other),
-            }
-        }
     }
 
     /// Admits one non-`Locked` consistent-read outcome into the read set,
@@ -692,18 +680,6 @@ impl Transaction {
         }
     }
 
-    /// Routes a read of `addr` to its region's primary. A machine that has
-    /// died is fenced off: its clock no longer follows the cluster's (a clock
-    /// failover restarts the cluster's time at the fast-forward value, which
-    /// can be behind it), so a snapshot it takes may lie in the future of
-    /// commits still to come, and reading at it could tear.
-    fn route(&self, addr: Addr) -> Result<(farm_net::NodeId, Arc<farm_memory::Region>), TxError> {
-        if !self.engine.is_alive() {
-            return Err(TxError::Aborted(AbortReason::CoordinatorDead));
-        }
-        self.engine.primary_region_of(addr)
-    }
-
     fn execution_abort(&mut self, reason: AbortReason) -> TxError {
         EngineStats::bump(&self.engine.stats.aborts_execution);
         self.finish();
@@ -716,6 +692,27 @@ impl Transaction {
             self.finished = true;
             self.engine.unregister_active(self.active);
         }
+    }
+}
+
+/// Routes a read of `addr` to its region's primary. A machine that has died
+/// is fenced off: its clock no longer follows the cluster's (a clock
+/// failover restarts the cluster's time at the fast-forward value, which can
+/// be behind it), so a snapshot it takes may lie in the future of commits
+/// still to come, and reading at it could tear.
+fn route(engine: &NodeEngine, addr: Addr) -> Result<(farm_net::NodeId, &Arc<Region>), TxError> {
+    if !engine.is_alive() {
+        return Err(TxError::Aborted(AbortReason::CoordinatorDead));
+    }
+    engine.primary_region_of(addr)
+}
+
+/// Wire bytes of one one-sided head-version read: the header plus whatever
+/// payload came back.
+fn read_bytes(result: &ConsistentRead) -> usize {
+    64 + match result {
+        ConsistentRead::Value { data, .. } => data.len(),
+        _ => 0,
     }
 }
 

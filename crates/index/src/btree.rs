@@ -9,14 +9,90 @@
 //! the transaction. A stale directory hint is caught by the leaf read (the
 //! leaf stores its own key), playing the role of the paper's fence keys.
 
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 use farm_core::{Addr, Engine, NodeId, Transaction, TxError};
 use parking_lot::RwLock;
 
-use crate::codec::{decode_entries, encode_entries};
+use crate::codec::{encode_entries, find_entry};
+
+/// Number of directory stripes. A point lookup read-locks one stripe, so
+/// coordinators looking up keys in different stripes write no common lock
+/// word.
+const STRIPES: usize = 16;
+const _: () = assert!(STRIPES.is_power_of_two() && STRIPES > 1);
+
+/// The stripe holding `key`: the top bits of a multiplicative hash, so runs
+/// of consecutive keys spread over every stripe.
+fn stripe_of(key: u64) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - STRIPES.trailing_zeros())) as usize
+}
+
+/// One directory stripe, alone on its cache lines.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Stripe(RwLock<BTreeMap<u64, Addr>>);
+
+/// The cached "internal nodes": key → leaf address, striped by key hash.
+#[derive(Debug)]
+struct Directory {
+    stripes: [Stripe; STRIPES],
+}
+
+impl Directory {
+    fn new() -> Directory {
+        Directory {
+            stripes: std::array::from_fn(|_| Stripe::default()),
+        }
+    }
+
+    fn stripe(&self, key: u64) -> &RwLock<BTreeMap<u64, Addr>> {
+        &self.stripes[stripe_of(key)].0
+    }
+
+    fn get(&self, key: u64) -> Option<Addr> {
+        self.stripe(key).read().get(&key).copied()
+    }
+
+    fn insert(&self, key: u64, leaf: Addr) {
+        self.stripe(key).write().insert(key, leaf);
+    }
+
+    fn remove(&self, key: u64) {
+        self.stripe(key).write().remove(&key);
+    }
+
+    fn len(&self) -> usize {
+        self.stripes.iter().map(|s| s.0.read().len()).sum()
+    }
+
+    /// Up to `count` entries with keys `>= start`, ascending: a lazy k-way
+    /// merge of the stripes' ranges that holds every stripe's read lock
+    /// (taken in stripe order; writers take one lock, so this cannot
+    /// deadlock) and costs O(STRIPES + count · log STRIPES).
+    fn range(&self, start: u64, count: usize) -> Vec<(u64, Addr)> {
+        let guards: Vec<_> = self.stripes.iter().map(|s| s.0.read()).collect();
+        let mut ranges: Vec<_> = guards.iter().map(|g| g.range(start..)).collect();
+        let mut heads: BinaryHeap<Reverse<(u64, usize, Addr)>> = ranges
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, r)| r.next().map(|(&k, &a)| Reverse((k, i, a))))
+            .collect();
+        let mut out = Vec::new();
+        while out.len() < count {
+            let Some(Reverse((key, i, leaf))) = heads.pop() else {
+                break;
+            };
+            out.push((key, leaf));
+            if let Some((&k, &a)) = ranges[i].next() {
+                heads.push(Reverse((k, i, a)));
+            }
+        }
+        out
+    }
+}
 
 /// A transactional ordered map keyed by `u64`.
 #[derive(Debug, Clone)]
@@ -25,7 +101,7 @@ pub struct BTree {
     /// Cached "internal nodes": key → leaf address. Shared by all machines in
     /// this in-process reproduction, as the cache is kept consistent enough
     /// by construction (leaves are never moved; deletions remove the entry).
-    directory: Arc<RwLock<BTreeMap<u64, Addr>>>,
+    directory: Arc<Directory>,
     /// Round-robin cursor over regions for spreading leaves.
     creator: NodeId,
 }
@@ -36,19 +112,19 @@ impl BTree {
     pub fn create(engine: &Arc<Engine>, creator: NodeId) -> BTree {
         BTree {
             engine: Arc::clone(engine),
-            directory: Arc::new(RwLock::new(BTreeMap::new())),
+            directory: Arc::new(Directory::new()),
             creator,
         }
     }
 
     /// Number of keys currently indexed.
     pub fn len(&self) -> usize {
-        self.directory.read().len()
+        self.directory.len()
     }
 
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
-        self.directory.read().is_empty()
+        self.len() == 0
     }
 
     fn region_for(&self, key: u64) -> farm_core::RegionId {
@@ -58,13 +134,11 @@ impl BTree {
 
     /// Looks up `key` within `tx`.
     pub fn get(&self, tx: &mut Transaction, key: u64) -> Result<Option<Vec<u8>>, TxError> {
-        let leaf = { self.directory.read().get(&key).copied() };
-        let Some(leaf) = leaf else { return Ok(None) };
+        let Some(leaf) = self.directory.get(key) else {
+            return Ok(None);
+        };
         let data = tx.read(leaf)?;
-        Ok(decode_entries(&data)
-            .into_iter()
-            .find(|(k, _)| k.as_slice() == key.to_be_bytes())
-            .map(|(_, v)| v))
+        Ok(find_entry(&data, &key.to_be_bytes()).map(<[u8]>::to_vec))
     }
 
     /// Looks up many keys within `tx` using one batched read
@@ -76,24 +150,15 @@ impl BTree {
         tx: &mut Transaction,
         keys: &[u64],
     ) -> Result<Vec<Option<Vec<u8>>>, TxError> {
-        let leaves: Vec<Option<Addr>> = {
-            let dir = self.directory.read();
-            keys.iter().map(|k| dir.get(k).copied()).collect()
-        };
+        let leaves: Vec<Option<Addr>> = keys.iter().map(|&k| self.directory.get(k)).collect();
         let targets: Vec<Addr> = leaves.iter().filter_map(|l| *l).collect();
         let mut pages = tx.read_many(&targets)?.into_iter();
         let mut out = Vec::with_capacity(keys.len());
         for (key, leaf) in keys.iter().zip(&leaves) {
-            out.push(match leaf {
-                None => None,
-                Some(_) => {
-                    let data = pages.next().expect("one page per resolved leaf");
-                    decode_entries(&data)
-                        .into_iter()
-                        .find(|(k, _)| k.as_slice() == key.to_be_bytes())
-                        .map(|(_, v)| v)
-                }
-            });
+            out.push(leaf.and_then(|_| {
+                let data = pages.next().expect("one page per resolved leaf");
+                find_entry(&data, &key.to_be_bytes()).map(<[u8]>::to_vec)
+            }));
         }
         Ok(out)
     }
@@ -101,8 +166,7 @@ impl BTree {
     /// Inserts or updates `key` within `tx`.
     pub fn put(&self, tx: &mut Transaction, key: u64, value: &[u8]) -> Result<(), TxError> {
         let encoded = encode_entries(&[(key.to_be_bytes().to_vec(), value.to_vec())]);
-        let existing = { self.directory.read().get(&key).copied() };
-        match existing {
+        match self.directory.get(key) {
             Some(leaf) => {
                 // Read first so the leaf is in the read set (uncached leaf
                 // read), then overwrite.
@@ -115,7 +179,7 @@ impl BTree {
                 // Publish the directory hint. If the transaction later
                 // aborts, the hint points at an unallocated slot and is
                 // repaired lazily by the next reader/writer.
-                self.directory.write().insert(key, leaf);
+                self.directory.insert(key, leaf);
                 Ok(())
             }
         }
@@ -123,12 +187,11 @@ impl BTree {
 
     /// Removes `key` within `tx`, returning whether it was present.
     pub fn remove(&self, tx: &mut Transaction, key: u64) -> Result<bool, TxError> {
-        let existing = { self.directory.read().get(&key).copied() };
-        let Some(leaf) = existing else {
+        let Some(leaf) = self.directory.get(key) else {
             return Ok(false);
         };
         tx.free(leaf)?;
-        self.directory.write().remove(&key);
+        self.directory.remove(key);
         Ok(true)
     }
 
@@ -142,27 +205,18 @@ impl BTree {
         start: u64,
         count: usize,
     ) -> Result<Vec<(u64, Vec<u8>)>, TxError> {
-        let targets: Vec<(u64, Addr)> = {
-            let dir = self.directory.read();
-            dir.range((Bound::Included(start), Bound::Unbounded))
-                .take(count)
-                .map(|(k, a)| (*k, *a))
-                .collect()
-        };
+        let targets = self.directory.range(start, count);
         // One batched read for the whole scan window: leaves are grouped by
         // destination primary and fetched with one message per machine.
         let leaves: Vec<Addr> = targets.iter().map(|&(_, a)| a).collect();
         let pages = tx.read_many(&leaves)?;
-        let mut out = Vec::with_capacity(targets.len());
-        for ((key, _leaf), data) in targets.into_iter().zip(pages) {
-            if let Some((_, v)) = decode_entries(&data)
-                .into_iter()
-                .find(|(k, _)| k.as_slice() == key.to_be_bytes())
-            {
-                out.push((key, v));
-            }
-        }
-        Ok(out)
+        Ok(targets
+            .into_iter()
+            .zip(pages)
+            .filter_map(|((key, _leaf), data)| {
+                find_entry(&data, &key.to_be_bytes()).map(|v| (key, v.to_vec()))
+            })
+            .collect())
     }
 
     /// The node used to seed placement (for documentation purposes).
@@ -176,6 +230,7 @@ mod tests {
     use super::*;
     use farm_core::EngineConfig;
     use farm_kernel::ClusterConfig;
+    use proptest::prelude::*;
 
     fn setup(cfg: EngineConfig) -> (Arc<Engine>, BTree) {
         let engine = Engine::start_cluster(ClusterConfig::test(3), cfg);
@@ -325,5 +380,76 @@ mod tests {
             tx.commit().unwrap();
         }
         engine.shutdown();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random put / remove / get / get_many / scan sequences, one
+        /// transaction each, agree with a `BTreeMap` model, and so do `len`
+        /// and `is_empty` after every step. Afterwards, scans start in every
+        /// stripe with counts up to past the number of keys.
+        #[test]
+        fn directory_matches_btreemap_model(
+            ops in prop::collection::vec((0u8..5, 0u64..96, 0usize..40), 1..48),
+        ) {
+            let (engine, tree) = setup(EngineConfig::default());
+            let node = engine.node(NodeId(0));
+            let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+            let scan_model = |model: &BTreeMap<u64, Vec<u8>>, start: u64, count: usize| {
+                model
+                    .range(start..)
+                    .take(count)
+                    .map(|(k, v)| (*k, v.clone()))
+                    .collect::<Vec<_>>()
+            };
+            for (i, &(op, key, n)) in ops.iter().enumerate() {
+                let mut tx = node.begin();
+                match op {
+                    0 => {
+                        let value = format!("{key}@{i}").into_bytes();
+                        tree.put(&mut tx, key, &value).unwrap();
+                        model.insert(key, value);
+                    }
+                    1 => {
+                        let removed = tree.remove(&mut tx, key).unwrap();
+                        prop_assert_eq!(removed, model.remove(&key).is_some());
+                    }
+                    2 => prop_assert_eq!(tree.get(&mut tx, key).unwrap(), model.get(&key).cloned()),
+                    3 => {
+                        let keys: Vec<u64> = (0..n as u64 % 8).map(|d| (key + 3 * d) % 96).collect();
+                        let want: Vec<_> = keys.iter().map(|k| model.get(k).cloned()).collect();
+                        prop_assert_eq!(tree.get_many(&mut tx, &keys).unwrap(), want);
+                    }
+                    _ => prop_assert_eq!(tree.scan(&mut tx, key, n).unwrap(), scan_model(&model, key, n)),
+                }
+                tx.commit().unwrap();
+                prop_assert_eq!(tree.len(), model.len());
+                prop_assert_eq!(tree.is_empty(), model.is_empty());
+            }
+            let mut tx = node.begin();
+            for stripe in 0..STRIPES {
+                let start = (0u64..).find(|&k| stripe_of(k) == stripe).unwrap();
+                for count in [0, 1, 5, model.len(), model.len() + 7] {
+                    prop_assert_eq!(
+                        tree.scan(&mut tx, start, count).unwrap(),
+                        scan_model(&model, start, count),
+                        "scan from {} (stripe {}) of {}", start, stripe, count
+                    );
+                }
+            }
+            tx.commit().unwrap();
+            engine.shutdown();
+        }
+    }
+
+    #[test]
+    fn small_key_ranges_cover_every_stripe() {
+        // The model test starts a scan in every stripe from a small key.
+        let mut seen = [false; STRIPES];
+        for key in 0..96u64 {
+            seen[stripe_of(key)] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "stripes hit: {seen:?}");
     }
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use farm_core::{Addr, Engine, NodeId, Transaction, TxError};
 
-use crate::codec::{decode_entries, encode_entries};
+use crate::codec::{decode_entries, encode_entries, find_entry};
 
 /// A fixed-directory chained hash table.
 #[derive(Debug, Clone)]
@@ -66,10 +66,7 @@ impl HashTable {
     pub fn get(&self, tx: &mut Transaction, key: &[u8]) -> Result<Option<Vec<u8>>, TxError> {
         let bucket = self.bucket_of(key);
         let data = tx.read(bucket)?;
-        Ok(decode_entries(&data)
-            .into_iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v))
+        Ok(find_entry(&data, key).map(<[u8]>::to_vec))
     }
 
     /// Inserts or updates `key` within `tx`.

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use arc_swap::ArcSwap;
 use farm_clock::{ClockConfig, DriftClock, MonotonicClock, NodeClock, SharedClock, SyncSample};
 use farm_memory::{OldVersionStore, RegionConfig, RegionId, RegionStore};
 use farm_net::{FaultPlane, NetStats, NodeId, Verb};
@@ -139,10 +140,16 @@ pub struct Cluster {
     nodes: Vec<Arc<NodeHandle>>,
     faults: Arc<FaultPlane>,
     config_store: Arc<ConfigStore>,
-    placement: RwLock<Placement>,
-    /// Bumped inside every placement write, before the lock is released:
+    /// Copy-on-write snapshot: readers take one wait-free load and write
+    /// nothing; writers copy, modify and store under `placement_writer`
+    /// ([`Cluster::update_placement`]).
+    placement: ArcSwap<Placement>,
+    /// Serializes placement writers. Never taken on the read path.
+    placement_writer: Mutex<()>,
+    /// Bumped by every placement write *after* its new snapshot is stored:
     /// whoever reads it unchanged across a span has seen no placement change
-    /// in between (see [`Cluster::placement_version`]).
+    /// in between, and whoever reads the new value resolves primaries from
+    /// the new snapshot (see [`Cluster::placement_version`]).
     placement_version: AtomicU64,
     /// Regions currently draining for a reconfiguration: new transactions on
     /// them are rejected (retryably) until promotions and log replays finish.
@@ -217,7 +224,8 @@ impl Cluster {
             nodes,
             faults,
             config_store,
-            placement: RwLock::new(placement),
+            placement: ArcSwap::from_pointee(placement),
+            placement_writer: Mutex::new(()),
             placement_version: AtomicU64::new(0),
             blocked_regions: RwLock::new(HashSet::new()),
             blocked_count: AtomicUsize::new(0),
@@ -283,12 +291,12 @@ impl Cluster {
 
     /// A snapshot of the current placement.
     pub fn placement(&self) -> Placement {
-        self.placement.read().clone()
+        self.placement.load().clone()
     }
 
     /// All region ids.
     pub fn regions(&self) -> Vec<RegionId> {
-        self.placement.read().regions()
+        self.placement.load().regions()
     }
 
     /// A counter that changes whenever the placement does (promotions,
@@ -301,13 +309,13 @@ impl Cluster {
 
     /// The current primary of a region, if the region exists.
     pub fn primary_of(&self, region: RegionId) -> Option<NodeId> {
-        self.placement.read().assignment(region).map(|a| a.primary)
+        self.placement.load().assignment(region).map(|a| a.primary)
     }
 
     /// The current replica set of a region.
     pub fn replicas_of(&self, region: RegionId) -> Vec<NodeId> {
         self.placement
-            .read()
+            .load()
             .assignment(region)
             .map(|a| a.replicas())
             .unwrap_or_default()
@@ -315,7 +323,19 @@ impl Cluster {
 
     /// Regions whose primary is currently `node`.
     pub fn primaries_on(&self, node: NodeId) -> Vec<RegionId> {
-        self.placement.read().primaries_of(node)
+        self.placement.load().primaries_of(node)
+    }
+
+    /// Applies `change` to a copy of the placement, publishes the copy, and
+    /// only then bumps [`Cluster::placement_version`], so a reader that sees
+    /// the new version also sees the new snapshot.
+    fn update_placement<R>(&self, change: impl FnOnce(&mut Placement) -> R) -> R {
+        let _writer = self.placement_writer.lock();
+        let mut next = self.placement.load().clone();
+        let out = change(&mut next);
+        self.placement.store(Arc::new(next));
+        self.placement_version.fetch_add(1, Ordering::AcqRel);
+        out
     }
 
     /// Registers the transaction engine's recovery hooks.
@@ -563,7 +583,7 @@ impl Cluster {
         // done; in-flight transactions against a dead primary abort
         // retryably in the meantime.
         let affected: Vec<RegionId> = {
-            let placement = self.placement.read();
+            let placement = self.placement.load();
             placement
                 .regions()
                 .into_iter()
@@ -627,14 +647,12 @@ impl Cluster {
 
         // Placement updates: promote backups for regions that lost their
         // primary, then restore redundancy in the background.
-        let mut promotions = Vec::new();
-        {
-            let mut placement = self.placement.write();
-            for &f in &failed {
-                promotions.extend(placement.remove_node(f));
-            }
-            self.placement_version.fetch_add(1, Ordering::AcqRel);
-        }
+        let promotions: Vec<(RegionId, NodeId)> = self.update_placement(|placement| {
+            failed
+                .iter()
+                .flat_map(|&f| placement.remove_node(f))
+                .collect()
+        });
         for (region, new_primary) in &promotions {
             // The new primary rebuilds allocator state by scanning headers.
             if let Some(replica) = self.nodes[new_primary.index()].regions().get(*region) {
@@ -728,7 +746,7 @@ impl Cluster {
     /// factor of under-replicated regions.
     fn spawn_rereplication(&self, config: ConfigRecord) {
         let under: Vec<(RegionId, usize)> =
-            self.placement.read().under_replicated(self.cfg.replication);
+            self.placement.load().under_replicated(self.cfg.replication);
         if under.is_empty() {
             self.events.record(EventKind::RereplicationComplete);
             return;
@@ -739,9 +757,8 @@ impl Cluster {
         // The placement metadata is updated inline (it is cheap); only the
         // data copy — the part the paper paces to protect foreground work —
         // runs on the background thread.
-        let mut new_backups: Vec<(RegionId, NodeId)> = Vec::new();
-        {
-            let mut placement = self.placement.write();
+        let new_backups = self.update_placement(|placement| {
+            let mut new_backups: Vec<(RegionId, NodeId)> = Vec::new();
             for (region, _count) in &under {
                 let assignment = match placement.assignment(*region) {
                     Some(a) => a.clone(),
@@ -758,13 +775,13 @@ impl Cluster {
                     new_backups.push((*region, backup));
                 }
             }
-            self.placement_version.fetch_add(1, Ordering::AcqRel);
-        }
+            new_backups
+        });
         if new_backups.is_empty() {
             self.events.record(EventKind::RereplicationComplete);
             return;
         }
-        let placement_snapshot = self.placement.read().clone();
+        let placement_snapshot = self.placement.load_full();
         let hooks = Arc::clone(&*self.hooks.read());
         let handle = std::thread::Builder::new()
             .name("farm-rereplication".into())

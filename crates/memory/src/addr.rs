@@ -9,7 +9,9 @@
 //! [`OldAddr`] (block + index), matching the paper's separation of head
 //! versions (fixed location, RDMA-readable) from old-version blocks.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Identifier of a region — the unit of replication (Section 3.1).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -28,7 +30,7 @@ impl fmt::Display for RegionId {
 }
 
 /// A global object address: `(region, slab, slot)`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Addr {
     /// The region holding the object.
     pub region: RegionId,
@@ -55,6 +57,51 @@ impl Addr {
         }
     }
 }
+
+impl Hash for Addr {
+    /// One `write_u64` of the packed form, so an [`AddrHasher`] hashes an
+    /// address with a single mix.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.pack());
+    }
+}
+
+/// A fixed, seedless hasher for maps keyed by [`Addr`].
+///
+/// Addresses are generated by the engine's allocator, not chosen by a
+/// client, so the hash-flooding defence of std's randomly seeded SipHash
+/// buys nothing here; this is one splitmix64 finalizer per address (a
+/// bijection on the packed form, so distinct addresses never collide in the
+/// full 64-bit hash) and no per-map seed.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.rotate_left(32) ^ n;
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// A `HashMap` keyed by [`Addr`] with the fixed [`AddrHasher`].
+pub type AddrMap<V> = HashMap<Addr, V, BuildHasherDefault<AddrHasher>>;
+
+/// A `HashSet` of [`Addr`]s with the fixed [`AddrHasher`].
+pub type AddrSet = HashSet<Addr, BuildHasherDefault<AddrHasher>>;
 
 impl fmt::Debug for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -193,5 +240,33 @@ mod tests {
             generation: 6,
         };
         assert_eq!(format!("{o:?}"), "b4[5]@g6");
+    }
+
+    #[test]
+    fn addr_hasher_spreads_addresses_that_differ_in_any_field() {
+        use std::hash::BuildHasher;
+        // The allocator hands out the same slab and slot indices in every
+        // region, so the low (bucket-index) bits must depend on the region
+        // too: 16 regions x 4 slabs x 64 slots into 1024 buckets.
+        let build = BuildHasherDefault::<AddrHasher>::default();
+        let mut buckets = HashSet::new();
+        let mut map = AddrMap::default();
+        for region in 0..16u16 {
+            for slab in 0..4u16 {
+                for slot in 0..64u32 {
+                    let addr = Addr {
+                        region: RegionId(region),
+                        slab,
+                        slot,
+                    };
+                    buckets.insert(build.hash_one(addr) & 1023);
+                    map.insert(addr, addr.pack());
+                }
+            }
+        }
+        // 4096 uniform draws fill ~1005 of 1024 buckets.
+        assert!(buckets.len() > 950, "only {} buckets used", buckets.len());
+        assert_eq!(map.len(), 4096);
+        assert!(map.iter().all(|(a, &p)| a.pack() == p));
     }
 }

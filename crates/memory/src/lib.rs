@@ -44,7 +44,7 @@ pub mod oldver;
 pub mod region;
 pub mod slab;
 
-pub use addr::{Addr, BlockId, OldAddr, RegionId};
+pub use addr::{Addr, AddrHasher, AddrMap, AddrSet, BlockId, OldAddr, RegionId};
 pub use header::{HeaderSnapshot, ObjectHeader};
 pub use object::{ConsistentRead, InstallOutcome, LockOutcome, ObjectSlot};
 pub use oldver::{OldVersion, OldVersionStore, ThreadOldAllocator};

@@ -150,8 +150,8 @@ impl Region {
     }
 
     /// Returns the slab at `index`, if it exists.
-    pub fn slab(&self, index: u16) -> Option<Arc<Slab>> {
-        self.slabs.load().get(index as usize).cloned()
+    pub fn slab(&self, index: u16) -> Option<&Arc<Slab>> {
+        self.slabs.load().get(index as usize)
     }
 
     /// Allocates a slot for an object of `size` bytes, creating a new slab of
@@ -210,23 +210,21 @@ impl Region {
     /// Ensures that slab `index` exists with the given size class, creating
     /// intermediate empty slabs if needed. Backups use this to mirror the
     /// primary's slab layout when applying replicated writes.
-    pub fn ensure_slab(&self, index: u16, object_size: usize) -> Arc<Slab> {
-        if let Some(s) = self.slabs.load().get(index as usize) {
-            return Arc::clone(s);
+    pub fn ensure_slab(&self, index: u16, object_size: usize) -> &Arc<Slab> {
+        if let Some(s) = self.slab(index) {
+            return s;
         }
         let _grow = self.grow.lock();
         let current = self.slabs.load();
-        if let Some(s) = current.get(index as usize) {
-            return Arc::clone(s);
+        if current.len() <= index as usize {
+            let mut next = current.clone();
+            while next.len() <= index as usize {
+                let capacity = (self.config.slab_bytes / object_size).max(1);
+                next.push(Arc::new(Slab::new(object_size, capacity)));
+            }
+            self.slabs.store(Arc::new(next));
         }
-        let mut next = current.clone();
-        while next.len() <= index as usize {
-            let capacity = (self.config.slab_bytes / object_size).max(1);
-            next.push(Arc::new(Slab::new(object_size, capacity)));
-        }
-        let slab = Arc::clone(&next[index as usize]);
-        self.slabs.store(Arc::new(next));
-        slab
+        &self.slabs.load()[index as usize]
     }
 
     /// Frees the slot named by `addr` in the allocator (bitmap); the header
@@ -237,8 +235,9 @@ impl Region {
             .map_err(|_| RegionError::BadAddress(addr))
     }
 
-    /// Resolves an address to its object slot.
-    pub fn slot(&self, addr: Addr) -> Result<Arc<ObjectSlot>, RegionError> {
+    /// Resolves an address to its object slot: two wait-free borrows (slab
+    /// table snapshot, then the slab's fixed slot table), nothing written.
+    pub fn slot(&self, addr: Addr) -> Result<&Arc<ObjectSlot>, RegionError> {
         let slab = self.slab(addr.slab).ok_or(RegionError::BadAddress(addr))?;
         slab.slot(addr.slot)
             .map_err(|_| RegionError::BadAddress(addr))
@@ -278,7 +277,7 @@ impl Region {
                     };
                     match attempt {
                         LockOutcome::Acquired => {
-                            acquired.push(slot);
+                            acquired.push(Arc::clone(slot));
                             continue;
                         }
                         other => other,
@@ -436,20 +435,18 @@ impl std::fmt::Debug for Region {
 /// The set of region replicas hosted by one machine.
 ///
 /// Every transaction resolves at least one region per operation, so the map
-/// is a copy-on-write snapshot: lookups are one wait-free load plus a
-/// lock-free `Weak::upgrade`, and the rare hosting changes (region creation,
-/// re-replication, drop) republish it under the `owned` mutex. Snapshots
-/// hold **weak** handles — strong ownership lives only in `owned` — so a
-/// dropped region's memory is freed as soon as the last in-flight user
-/// releases it, even though the `ArcSwap` shim retains replaced map
-/// snapshots until the store itself drops.
+/// is a copy-on-write snapshot of **strong** handles: a lookup is one
+/// wait-free load and a borrow, writing no lock word and no reference
+/// count. The rare hosting changes (region creation on first use or
+/// re-replication) republish it under the `grow` mutex. A machine never
+/// stops hosting a region it once hosted, so the snapshots the `ArcSwap`
+/// shim retains cost one map per hosting change, not stale replicas.
 #[derive(Default)]
 pub struct RegionStore {
     config: RegionConfig,
-    regions: ArcSwap<HashMap<RegionId, std::sync::Weak<Region>>>,
-    /// Strong ownership of hosted replicas; also serializes snapshot
-    /// republishing. Never taken on the lookup path.
-    owned: Mutex<HashMap<RegionId, Arc<Region>>>,
+    regions: ArcSwap<HashMap<RegionId, Arc<Region>>>,
+    /// Serializes snapshot republishing. Never taken on the lookup path.
+    grow: Mutex<()>,
 }
 
 impl RegionStore {
@@ -458,61 +455,34 @@ impl RegionStore {
         RegionStore {
             config,
             regions: ArcSwap::from_pointee(HashMap::new()),
-            owned: Mutex::new(HashMap::new()),
+            grow: Mutex::new(()),
         }
     }
 
     /// Returns the replica of `id`, creating it if this machine does not host
     /// one yet (e.g. when it becomes a new backup during re-replication).
-    pub fn ensure(&self, id: RegionId) -> Arc<Region> {
-        if let Some(r) = self
-            .regions
-            .load()
-            .get(&id)
-            .and_then(std::sync::Weak::upgrade)
-        {
+    pub fn ensure(&self, id: RegionId) -> &Arc<Region> {
+        if let Some(r) = self.get(id) {
             return r;
         }
-        let mut owned = self.owned.lock();
-        if let Some(r) = owned.get(&id) {
-            return Arc::clone(r);
+        let _grow = self.grow.lock();
+        let current = self.regions.load();
+        if !current.contains_key(&id) {
+            let mut next = current.clone();
+            next.insert(id, Arc::new(Region::new(id, self.config)));
+            self.regions.store(Arc::new(next));
         }
-        let region = Arc::new(Region::new(id, self.config));
-        owned.insert(id, Arc::clone(&region));
-        self.publish(&owned);
-        region
+        &self.regions.load()[&id]
     }
 
     /// Returns the replica of `id`, if hosted here.
-    pub fn get(&self, id: RegionId) -> Option<Arc<Region>> {
-        self.regions
-            .load()
-            .get(&id)
-            .and_then(std::sync::Weak::upgrade)
-    }
-
-    /// Drops the replica of `id` (the machine stops hosting the region). Its
-    /// memory is freed once the last in-flight reference goes away — stale
-    /// weak handles in retained snapshots cannot resurrect it.
-    pub fn drop_region(&self, id: RegionId) {
-        let mut owned = self.owned.lock();
-        owned.remove(&id);
-        self.publish(&owned);
-    }
-
-    /// Republishes the lookup snapshot from the ownership map (caller holds
-    /// the `owned` lock).
-    fn publish(&self, owned: &HashMap<RegionId, Arc<Region>>) {
-        let snapshot: HashMap<RegionId, std::sync::Weak<Region>> = owned
-            .iter()
-            .map(|(&id, region)| (id, Arc::downgrade(region)))
-            .collect();
-        self.regions.store(Arc::new(snapshot));
+    pub fn get(&self, id: RegionId) -> Option<&Arc<Region>> {
+        self.regions.load().get(&id)
     }
 
     /// All region ids hosted here.
     pub fn hosted(&self) -> Vec<RegionId> {
-        let mut v: Vec<_> = self.owned.lock().keys().copied().collect();
+        let mut v: Vec<_> = self.regions.load().keys().copied().collect();
         v.sort();
         v
     }
@@ -601,38 +571,15 @@ mod tests {
     }
 
     #[test]
-    fn region_store_ensures_and_drops() {
+    fn region_store_ensures_once() {
         let store = RegionStore::new(RegionConfig::small());
         assert!(store.get(RegionId(5)).is_none());
-        let r = store.ensure(RegionId(5));
+        let r = Arc::clone(store.ensure(RegionId(5)));
         assert_eq!(r.id(), RegionId(5));
-        assert!(store.get(RegionId(5)).is_some());
-        assert_eq!(store.hosted(), vec![RegionId(5)]);
-        store.drop_region(RegionId(5));
-        assert!(store.get(RegionId(5)).is_none());
-    }
-
-    #[test]
-    fn dropped_region_memory_is_actually_freed() {
-        // The lookup snapshots hold weak handles, so dropping a region frees
-        // its slabs as soon as the last strong reference goes — republished
-        // (retained) snapshots must not keep dead replicas alive.
-        let store = RegionStore::new(RegionConfig::small());
-        let r = store.ensure(RegionId(7));
-        r.allocate(64).unwrap();
-        let weak = Arc::downgrade(&r);
-        drop(r);
-        // Churn the snapshot a few times so retained copies exist.
-        store.ensure(RegionId(8));
-        store.ensure(RegionId(9));
-        assert!(weak.upgrade().is_some(), "still hosted: stays alive");
-        store.drop_region(RegionId(7));
-        assert!(
-            weak.upgrade().is_none(),
-            "dropped region leaked through a retained snapshot"
-        );
-        assert!(store.get(RegionId(7)).is_none());
-        assert_eq!(store.hosted(), vec![RegionId(8), RegionId(9)]);
+        assert!(Arc::ptr_eq(store.get(RegionId(5)).unwrap(), &r));
+        store.ensure(RegionId(6));
+        assert!(Arc::ptr_eq(store.ensure(RegionId(5)), &r));
+        assert_eq!(store.hosted(), vec![RegionId(5), RegionId(6)]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::bitmap::FreeBitmap;
 use crate::object::ObjectSlot;
@@ -14,8 +14,6 @@ pub enum SlabError {
     Full,
     /// The slot index is out of range for this slab.
     BadSlot,
-    /// The slab cannot be reused because it still has allocated objects.
-    NotEmpty,
 }
 
 impl std::fmt::Display for SlabError {
@@ -23,23 +21,21 @@ impl std::fmt::Display for SlabError {
         match self {
             SlabError::Full => write!(f, "slab full"),
             SlabError::BadSlot => write!(f, "slot index out of range"),
-            SlabError::NotEmpty => write!(f, "slab still has allocated objects"),
         }
     }
 }
 
 impl std::error::Error for SlabError {}
 
-struct SlabInner {
-    object_size: usize,
-    slots: Vec<Arc<ObjectSlot>>,
-}
-
 /// A slab: `capacity` object slots of a single size class, owned (in the
 /// paper) by one thread of the primary's machine. All objects in a slab have
 /// the same size, which allows the compact free bitmap.
+///
+/// The slot table is fixed at creation, so resolving a slot is a bounds
+/// check and a borrow: no lock word and no reference count is written.
 pub struct Slab {
-    inner: RwLock<SlabInner>,
+    object_size: usize,
+    slots: Box<[Arc<ObjectSlot>]>,
     bitmap: Mutex<FreeBitmap>,
 }
 
@@ -51,29 +47,25 @@ impl Slab {
             .map(|_| Arc::new(ObjectSlot::new_free()))
             .collect();
         Slab {
-            inner: RwLock::new(SlabInner { object_size, slots }),
+            object_size,
+            slots,
             bitmap: Mutex::new(FreeBitmap::new_all_free(capacity)),
         }
     }
 
     /// The size class of objects in this slab.
     pub fn object_size(&self) -> usize {
-        self.inner.read().object_size
+        self.object_size
     }
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.inner.read().slots.len()
+        self.slots.len()
     }
 
     /// Number of free slots.
     pub fn free_slots(&self) -> usize {
         self.bitmap.lock().free_count()
-    }
-
-    /// Whether every slot is free (candidate for slab reuse).
-    pub fn is_empty(&self) -> bool {
-        self.bitmap.lock().all_free()
     }
 
     /// Allocates a slot, returning its index.
@@ -97,13 +89,8 @@ impl Slab {
     }
 
     /// Returns the slot at `index`.
-    pub fn slot(&self, index: u32) -> Result<Arc<ObjectSlot>, SlabError> {
-        let inner = self.inner.read();
-        inner
-            .slots
-            .get(index as usize)
-            .cloned()
-            .ok_or(SlabError::BadSlot)
+    pub fn slot(&self, index: u32) -> Result<&Arc<ObjectSlot>, SlabError> {
+        self.slots.get(index as usize).ok_or(SlabError::BadSlot)
     }
 
     /// Rebuilds the free bitmap by scanning object headers. This is what a
@@ -111,32 +98,13 @@ impl Slab {
     /// maintained at the primary, so the new primary reconstructs it from the
     /// allocated bits in the headers (Section 4.8).
     pub fn rebuild_bitmap_from_headers(&self) {
-        let inner = self.inner.read();
-        let mut bm = FreeBitmap::new_all_free(inner.slots.len());
-        for (i, slot) in inner.slots.iter().enumerate() {
+        let mut bm = FreeBitmap::new_all_free(self.slots.len());
+        for (i, slot) in self.slots.iter().enumerate() {
             if slot.header_snapshot().allocated {
                 bm.mark_allocated(i);
             }
         }
         *self.bitmap.lock() = bm;
-    }
-
-    /// Reuses the (fully free) slab with a new object size: all slots are
-    /// recreated. The transaction engine must only call this after the GC
-    /// safe point has passed the time at which the slab was observed empty
-    /// (Figure 10) — that ordering is enforced one level up.
-    pub fn reuse_as(&self, new_object_size: usize, new_capacity: usize) -> Result<(), SlabError> {
-        let mut bm = self.bitmap.lock();
-        if !bm.all_free() {
-            return Err(SlabError::NotEmpty);
-        }
-        let mut inner = self.inner.write();
-        inner.object_size = new_object_size;
-        inner.slots = (0..new_capacity)
-            .map(|_| Arc::new(ObjectSlot::new_free()))
-            .collect();
-        *bm = FreeBitmap::new_all_free(new_capacity);
-        Ok(())
     }
 }
 
@@ -181,18 +149,6 @@ mod tests {
         let slab = Slab::new(64, 2);
         assert_eq!(slab.free(5), Err(SlabError::BadSlot));
         assert!(slab.slot(5).is_err());
-    }
-
-    #[test]
-    fn reuse_requires_empty() {
-        let slab = Slab::new(64, 4);
-        let s = slab.allocate().unwrap();
-        assert_eq!(slab.reuse_as(128, 2), Err(SlabError::NotEmpty));
-        slab.free(s).unwrap();
-        slab.reuse_as(128, 2).unwrap();
-        assert_eq!(slab.object_size(), 128);
-        assert_eq!(slab.capacity(), 2);
-        assert!(slab.is_empty());
     }
 
     #[test]
